@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
   const auto ctiming = cplan.execute(std::span<cxf>(cvolume));
 
   std::vector<cxf> rvolume((n / 2 + 1) * n * n);
-  gpufft::ShardedRealFft3DPlan rplan(group, n, shards,
-                                     gpufft::Direction::Forward);
+  gpufft::ShardedFft3DPlan rplan(
+      group,
+      gpufft::PlanDesc::sharded_real3d(n, shards, gpufft::Direction::Forward));
   const auto rtiming = rplan.execute(std::span<cxf>(rvolume));
 
   const double exch_ratio = static_cast<double>(rtiming.exchange_bytes()) /

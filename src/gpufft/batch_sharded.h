@@ -80,12 +80,6 @@ class BatchShardedFft3DPlan final : public PlanBaseT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  /// Two slab staging buffers per member device.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return group_->size() * 2 * n_ * n_ * std::max(n_ / shards_, shards_) *
-           sizeof(cxf);
-  }
-
   [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }

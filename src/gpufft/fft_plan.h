@@ -115,9 +115,6 @@ class FftPlanT {
     return desc().buffer_elements();
   }
 
-  /// Workspace bytes one execute() leases from the cache arena.
-  [[nodiscard]] virtual std::size_t workspace_bytes() const = 0;
-
   /// Total simulated milliseconds of the last execute()/execute_batch().
   [[nodiscard]] virtual double last_total_ms() const = 0;
 

@@ -17,7 +17,7 @@ void check_real_fine(const DeviceBuffer<cx<T>>& data,
                   "(half-length stages need nx/2 >= 16)");
   REPRO_CHECK_MSG(p.threads_per_block % (p.nx / 8) == 0,
                   "block must hold whole transform groups");
-  REPRO_CHECK(data.size() >= (p.nx / 2 + 1) * p.count);
+  REPRO_CHECK(data.size() >= p.elem_offset + (p.nx / 2 + 1) * p.count);
   if (p.twiddles == TwiddleSource::Texture) {
     REPRO_CHECK_MSG(tw_half != nullptr && tw_half->size() >= p.nx / 2 &&
                         tw_full != nullptr && tw_full->size() >= p.nx,
@@ -243,7 +243,7 @@ void RealFineC2RKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const auto sts = fine_stages(m);
   const T scale = static_cast<T>(params_.scale);
 
-  auto data = ctx.global(data_);
+  auto data = ctx.global(data_, params_.elem_offset);
   auto sh_re = ctx.shared<T>(0, txs_pb * arr);
   auto sh_im = ctx.shared<T>(txs_pb * arr * sizeof(T), txs_pb * arr);
   const bool tex = params_.twiddles == TwiddleSource::Texture;

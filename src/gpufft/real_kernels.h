@@ -33,6 +33,9 @@ struct RealFineParams {
   /// Shared-exchange pad stride in words (TuneConfig knob; 0 = none).
   unsigned shmem_pad_words{kDefaultShmemPadWords};
   double scale{1.0};     ///< c2r only: folded into the pack pass
+  /// c2r only: where the (nx/2+1)*count split-layout block starts in the
+  /// buffer, so the kernel can run in place inside a larger allocation.
+  std::size_t elem_offset{0};
 };
 
 /// Forward fused kernel: packed real rows -> half-spectrum rows, in place.

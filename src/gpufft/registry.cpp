@@ -60,14 +60,9 @@ std::shared_ptr<FftPlanT<T>> make_plan(Device& dev, const PlanDesc& desc,
         REPRO_CHECK_MSG(group != nullptr,
                         "sharded plans span a device fleet; obtain them "
                         "through PlanRegistry::of(sim::DeviceGroup&)");
-        // Layout discriminates the executor within the kind: half-spectrum
-        // shards move half the exchange bytes.
-        if (desc.layout == Layout::RealHalfSpectrum) {
-          return std::make_shared<ShardedRealFft3DPlan>(
-              *group, desc.shape.nx, desc.splits, desc.dir, desc.tune);
-        }
-        return std::make_shared<ShardedFft3DPlan>(
-            *group, desc.shape.nx, desc.splits, desc.dir, desc.tune);
+        // One executor for both layouts: the description's Layout picks
+        // the plane codec (half-spectrum shards move half the bytes).
+        return std::make_shared<ShardedFft3DPlan>(*group, desc);
       case PlanKind::BatchSharded3D:
         REPRO_CHECK_MSG(group != nullptr,
                         "batch-sharded plans span a device fleet; obtain "

@@ -143,10 +143,10 @@ std::size_t effective_shards(std::size_t shards, const TuneConfig& tune) {
 /// would blame the plan's primary device.
 void verify_phase2_regions(sim::DeviceGroup& group,
                            const std::vector<std::size_t>& members,
-                           const ShardLayout& layout, std::size_t n,
+                           const ShardLayout& layout, const PlaneCodec& codec,
                            std::size_t shards, std::span<const cxf> out,
                            double e_in) {
-  const std::size_t plane = n * n;
+  const std::size_t n = codec.n;
   const std::size_t local_nz = n / shards;
   const std::size_t nm = members.size();
   const std::size_t points = n * n * n;
@@ -160,10 +160,15 @@ void verify_phase2_regions(sim::DeviceGroup& group,
         const std::size_t k = mi * gpd + gl;
         for (std::size_t k2 = 0; k2 < shards; ++k2) {
           const std::size_t z = k + local_nz * k2;
-          e += span_energy<float>(out.subspan(z * plane, plane));
+          for (std::size_t r = 0; r < codec.widths.size(); ++r) {
+            e += span_energy<float>(
+                out.subspan(codec.at(r, n, z), codec.size(r)));
+          }
         }
       }
     } else {
+      // Pencil units are complex-layout only (one n-wide region).
+      const std::size_t plane = n * n;
       const std::size_t py = layout.y_blocks;
       const std::size_t ny = n / py;
       const std::size_t g = mi / py;
@@ -179,22 +184,25 @@ void verify_phase2_regions(sim::DeviceGroup& group,
   }
 }
 
-/// Sum `t`'s duration buckets into `into` (batch totals across volumes).
+/// Sum `b`'s duration buckets into `a`.
+void accumulate(ShardTiming& a, const ShardTiming& b) {
+  a.h2d1_ms += b.h2d1_ms;
+  a.fft1_ms += b.fft1_ms;
+  a.twiddle_ms += b.twiddle_ms;
+  a.d2h1_ms += b.d2h1_ms;
+  a.h2d2_ms += b.h2d2_ms;
+  a.fft2_ms += b.fft2_ms;
+  a.d2h2_ms += b.d2h2_ms;
+  a.exchange_bytes += b.exchange_bytes;
+}
+
+/// Sum `t`'s per-device buckets into `into` (batch totals across volumes).
 void accumulate(ShardedTiming& into, const ShardedTiming& t) {
   if (into.devices.size() < t.devices.size()) {
     into.devices.resize(t.devices.size());
   }
   for (std::size_t d = 0; d < t.devices.size(); ++d) {
-    ShardTiming& a = into.devices[d];
-    const ShardTiming& b = t.devices[d];
-    a.h2d1_ms += b.h2d1_ms;
-    a.fft1_ms += b.fft1_ms;
-    a.twiddle_ms += b.twiddle_ms;
-    a.d2h1_ms += b.d2h1_ms;
-    a.h2d2_ms += b.h2d2_ms;
-    a.fft2_ms += b.fft2_ms;
-    a.d2h2_ms += b.d2h2_ms;
-    a.exchange_bytes += b.exchange_bytes;
+    accumulate(into.devices[d], t.devices[d]);
   }
   into.barrier_ms += t.barrier_ms;
 }
@@ -210,23 +218,43 @@ PlanDesc tuned_slab_desc(PlanDesc d, TuneConfig tune) {
   return d;
 }
 
+/// `desc` with the TuneConfig slab-depth override applied to its splits.
+PlanDesc effective_desc(PlanDesc d) {
+  d.splits = effective_shards(d.splits, d.tune);
+  return d;
+}
+
 }  // namespace
 
 ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
                                    std::size_t shards, Direction dir,
                                    TuneConfig tune)
-    : PlanBaseT<float>(
-          group.device(0),
-          PlanDesc::sharded3d(n, effective_shards(shards, tune), dir)),
+    : ShardedFft3DPlan(group, [&] {
+        PlanDesc d = PlanDesc::sharded3d(n, shards, dir);
+        d.tune = tune;
+        return d;
+      }()) {}
+
+ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group,
+                                   const PlanDesc& desc)
+    : PlanBaseT<float>(group.device(0), effective_desc(desc)),
       group_(&group),
-      opt_(tune),
-      n_(n),
-      shards_(effective_shards(shards, tune)),
-      slab_shape_{n, n, n / shards_},
-      host_work_(n * n * n),
-      staging_lease_(group, n * n * n * sizeof(cxf)) {
-  REPRO_CHECK_MSG(n % shards_ == 0,
-                  "shards must divide n; got n=" + fft::describe_size(n) +
+      opt_(desc.tune),
+      n_(desc.shape.nx),
+      shards_(desc_.splits),
+      codec_{n_, desc.layout == Layout::RealHalfSpectrum
+                     ? std::vector<std::size_t>{n_ / 2, 1}
+                     : std::vector<std::size_t>{n_}},
+      c2r_(desc.layout == Layout::RealHalfSpectrum &&
+           desc.dir == Direction::Inverse),
+      slab_shape_{n_, n_, n_ / shards_},
+      host_work_(desc_.buffer_elements()),
+      staging_lease_(group, desc_.buffer_elements() * sizeof(cxf)) {
+  REPRO_CHECK_MSG(desc.kind == PlanKind::Sharded3D && desc.shape == cube(n_),
+                  "sharded plans transform Sharded3D cubes; got " +
+                      desc.to_string());
+  REPRO_CHECK_MSG(n_ % shards_ == 0,
+                  "shards must divide n; got n=" + fft::describe_size(n_) +
                       " shards=" + std::to_string(shards_));
   REPRO_CHECK_MSG(shards_ >= 2 && shards_ <= kMaxFactor,
                   "shards must be a supported small-FFT factor");
@@ -235,35 +263,63 @@ ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
                   "across shards; got shards=" + std::to_string(shards_) +
                       " (n itself may be non-pow2 — those slabs run the "
                       "mixed-radix plan)");
+  const bool real = desc.layout == Layout::RealHalfSpectrum;
+  if (real) {
+    REPRO_CHECK_MSG(is_pow2(n_),
+                    "sharded real plans still need power-of-two extents "
+                    "(the packed half-length X pass runs the radix-4/2 "
+                    "fine kernel); got n=" + fft::describe_size(n_) +
+                        " — transform a complex copy through the sharded "
+                        "complex plan, which accepts any n");
+    REPRO_CHECK_MSG(n_ >= 32,
+                    "sharded real plans need n >= 32 (the half-length X "
+                    "fine stages need n/2 >= 16)");
+  }
   // Group sizes that divide neither phase extent are allowed: execution
   // falls back to the largest member prefix that does (usable_members),
   // exactly as the failover path does after losing a card. The batch
   // planner's deal-vs-shard rule models the same prefix.
-  desc_.tune = tune;
-  slab_plans_.reserve(group.size());
+  slab_plans_.resize(group.size());
+  tw_half_.resize(group.size());
+  tw_full_.resize(group.size());
   for (std::size_t d = 0; d < group.size(); ++d) {
-    // A member already lost to a fault gets no slab plan (building one
-    // would throw); the schedule never assigns work to lost members.
-    if (group.device(d).lost()) {
-      slab_plans_.push_back(nullptr);
+    // A member already lost to a fault gets no per-member resources
+    // (building them would throw); the schedule never assigns it work.
+    auto& dev = group.device(d);
+    if (dev.lost()) continue;
+    if (c2r_) {
+      // Phase 2 finishes with the fused c2r pass; share its tables now.
+      tw_half_[d] = ResourceCache::of(dev).twiddles<float>(n_ / 2, desc.dir);
+      tw_full_[d] = ResourceCache::of(dev).twiddles<float>(n_, desc.dir);
       continue;
     }
-    slab_plans_.push_back(
-        PlanRegistry::of(group.device(d))
-            .get_or_create(tuned_slab_desc(
-                PlanDesc::dense3d(slab_shape_, dir, Precision::F32),
-                tune)));
+    // Phase 1 runs the whole slab plan: five-step or mixed-radix for
+    // complex slabs, r2c X fine + coarse Y/local-Z for real ones.
+    slab_plans_[d] = PlanRegistry::of(dev).get_or_create(tuned_slab_desc(
+        real ? PlanDesc::real3d(slab_shape_, desc.dir)
+             : PlanDesc::dense3d(slab_shape_, desc.dir, Precision::F32),
+        desc.tune));
   }
   // Peer-capable fabrics get the planner's slab-vs-pencil call (keyed on
   // bisection bandwidth via topology_model_ms); the tree has no choice
   // to make, so its construction cost is unchanged. Non-pow2 extents
   // always take the slab decomposition: its phase-2 unit is a whole slab
   // that the mixed-radix plan can transform, while the pencil phase-2
-  // kernels keep their pow2-only X machinery.
-  if (group.size() > 1 && group.topo().peer_capable() && is_pow2(n_)) {
+  // kernels keep their pow2-only X machinery. Half-spectrum planes carry
+  // a Nyquist tail row per Y row, which pencil Y-splitting would scatter,
+  // so real plans stay slab too.
+  if (!real && group.size() > 1 && group.topo().peer_capable() &&
+      is_pow2(n_)) {
     decomp_ = choose_decomposition(group.topo(), group.device(0).spec(), n_,
-                                   shards_, group.size(), dir);
+                                   shards_, group.size(), desc.dir);
   }
+}
+
+void ShardedFft3DPlan::set_decomposition(Decomposition d) {
+  REPRO_CHECK_MSG(d == Decomposition::Slab || desc_.layout == Layout::Complex,
+                  "half-spectrum sharded plans run the slab decomposition "
+                  "only");
+  decomp_ = d;
 }
 
 std::vector<StepTiming> ShardedFft3DPlan::execute_impl(DeviceBuffer<cxf>&) {
@@ -273,7 +329,7 @@ std::vector<StepTiming> ShardedFft3DPlan::execute_impl(DeviceBuffer<cxf>&) {
 }
 
 ShardedTiming ShardedFft3DPlan::execute(std::span<cxf> host_data) {
-  REPRO_CHECK(host_data.size() == n_ * n_ * n_);
+  REPRO_CHECK(host_data.size() == buffer_elements());
   return with_plan_context(desc_, [&] {
     return verified_span_run<float>(
         this->device(), this->exec_policy(), desc_, host_data, [&] {
@@ -329,8 +385,8 @@ struct ShardedFft3DPlan::VolumeCtx {
 
 std::unique_ptr<ShardedFft3DPlan::VolumeCtx> ShardedFft3DPlan::make_ctx(
     const std::vector<std::size_t>& members, const ShardLayout& layout) {
-  const std::size_t slab_elems =
-      n_ * n_ * std::max(n_ / shards_, shards_);
+  const std::size_t plane = codec_.plane();
+  const std::size_t slab_elems = plane * std::max(n_ / shards_, shards_);
   auto ctx = std::make_unique<VolumeCtx>();
   ctx->members = members;
   ctx->layout = layout;
@@ -347,13 +403,14 @@ std::unique_ptr<ShardedFft3DPlan::VolumeCtx> ShardedFft3DPlan::make_ctx(
   }
   if (peer) {
     // Per-member receive buffer: the member's whole phase-2 working set
-    // (slab: its block of plane groups; pencil: its (group, Y-block)
-    // unit) lands here directly and phase 2 runs in place — no host
-    // staging volume on the peer path.
+    // (slab: its block of plane groups, one phase-2 slab per group in
+    // codec layout; pencil: its (group, Y-block) unit) lands here
+    // directly and phase 2 runs in place — no host staging volume on the
+    // peer path.
     const std::size_t recv_elems =
         layout.decomp == Decomposition::Pencil
             ? shards_ * (n_ / layout.y_blocks) * n_
-            : (n_ / shards_) / nm * shards_ * n_ * n_;
+            : (n_ / shards_) / nm * shards_ * plane;
     for (std::size_t mi = 0; mi < nm; ++mi) {
       auto& dev = group_->device(members[mi]);
       ctx->leases.push_back(ResourceCache::of(dev).lease<float>(recv_elems));
@@ -383,7 +440,9 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
                                       std::span<cxf> host_data,
                                       std::span<cxf> host_work,
                                       ShardedTiming& timing) {
-  const std::size_t plane = n_ * n_;
+  const PlaneCodec& c = codec_;
+  const std::size_t regions = c.widths.size();
+  const std::size_t plane = c.plane();
   const std::size_t local_nz = n_ / shards_;
   const std::size_t nm = ctx.members.size();
   const bool peer = ctx.layout.exchange == Exchange::Peer;
@@ -417,17 +476,34 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
 
     for (std::size_t j = 0; j < local_nz; ++j) {
       const std::size_t z = residue + shards_ * j;
-      const std::span<const cxf> src = host_data.subspan(z * plane, plane);
-      t.h2d1_ms += staged_h2d(dev, slab, src, &s, j * plane, sp);
+      for (std::size_t r = 0; r < regions; ++r) {
+        t.h2d1_ms += staged_h2d(
+            dev, slab,
+            std::span<const cxf>(host_data).subspan(c.at(r, n_, z),
+                                                    c.size(r)),
+            &s, c.at(r, local_nz, j), sp);
+      }
     }
 
-    for (const auto& step : slab_plans_[d]->execute_async(slab, s)) {
-      t.fft1_ms += step.ms;
+    if (c2r_) {
+      // The c2r fine pass needs the whole Z axis, which phase 2
+      // reassembles; phase 1 runs only the coarse Y/local-Z ranks.
+      const Device::StreamGuard guard(dev, s);
+      t.fft1_ms += run_real_coarse_slab<float>(dev, slab, slab_shape_,
+                                               desc_.dir, opt_);
+    } else {
+      for (const auto& step : slab_plans_[d]->execute_async(slab, s)) {
+        t.fft1_ms += step.ms;
+      }
     }
 
-    SlabTwiddleKernel tw(slab, slab_shape_, n_, residue, desc_.dir, grid, 0,
-                         opt_.threads_per_block);
-    t.twiddle_ms += dev.launch_async(tw, s).total_ms;
+    // Inter-rank Z twiddles over every layout region of the slab.
+    for (std::size_t r = 0; r < regions; ++r) {
+      SlabTwiddleKernel tw(slab, Shape3{c.widths[r], n_, local_nz}, n_,
+                           residue, desc_.dir, grid, c.base(r, local_nz),
+                           opt_.threads_per_block);
+      t.twiddle_ms += dev.launch_async(tw, s).total_ms;
+    }
 
     if (verify) {
       // Per-pass ABFT guard: the residue's slab output is visible now
@@ -437,8 +513,10 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
       double e_res = 0.0;
       for (std::size_t j = 0; j < local_nz; ++j) {
         const std::size_t z = residue + shards_ * j;
-        e_res += span_energy<float>(
-            std::span<const cxf>(host_data).subspan(z * plane, plane));
+        for (std::size_t r = 0; r < regions; ++r) {
+          e_res += span_energy<float>(std::span<const cxf>(host_data).subspan(
+              c.at(r, n_, z), c.size(r)));
+        }
       }
       const double e_out = span_energy<float>(
           std::span<const cxf>(slab.span()).first(local_nz * plane));
@@ -455,9 +533,11 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
       // staging volume that every card's phase 2 reads back.
       for (std::size_t k = 0; k < local_nz; ++k) {
         const std::size_t z = residue + shards_ * k;
-        t.d2h1_ms += staged_d2h(
-            dev, std::span<cxf>(host_work).subspan(z * plane, plane), slab,
-            &s, k * plane, sp);
+        for (std::size_t r = 0; r < regions; ++r) {
+          t.d2h1_ms += staged_d2h(
+              dev, host_work.subspan(c.at(r, n_, z), c.size(r)), slab, &s,
+              c.at(r, local_nz, k), sp);
+        }
         t.exchange_bytes += plane * sizeof(cxf);
       }
       continue;
@@ -468,21 +548,24 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
     // so concurrent residues drive different links first and the
     // per-link FIFOs fill instead of hot-spotting member 0.
     if (ctx.layout.decomp == Decomposition::Slab) {
-      for (std::size_t r = 0; r < nm; ++r) {
-        const std::size_t emi = (mi + r) % nm;
+      for (std::size_t rr = 0; rr < nm; ++rr) {
+        const std::size_t emi = (mi + rr) % nm;
         const std::size_t e = ctx.members[emi];
         for (std::size_t gl = 0; gl < gpd; ++gl) {
           const std::size_t j = emi * gpd + gl;  // slab plane == group k
-          charge(group_->d2d_async(
-              d, e, slab, j * plane, ctx.recv(emi),
-              (gl * shards_ + residue) * plane, plane, s,
-              std::span<sim::Stream* const>(ctx.exch)));
+          // Plane `residue` of the consumer's phase-2 slab for group gl.
+          for (std::size_t r = 0; r < regions; ++r) {
+            charge(group_->d2d_async(
+                d, e, slab, c.at(r, local_nz, j), ctx.recv(emi),
+                gl * shards_ * plane + c.at(r, shards_, residue), c.size(r),
+                s, std::span<sim::Stream* const>(ctx.exch)));
+          }
           t.exchange_bytes += plane * sizeof(cxf);
         }
       }
     } else {
-      for (std::size_t r = 0; r < nm; ++r) {
-        const std::size_t emi = (mi + r) % nm;
+      for (std::size_t rr = 0; rr < nm; ++rr) {
+        const std::size_t emi = (mi + rr) % nm;
         const std::size_t e = ctx.members[emi];
         const std::size_t g = emi / py;  // plane group owned by emi
         const std::size_t p = emi % py;  // Y block owned by emi
@@ -509,13 +592,15 @@ void ShardedFft3DPlan::enqueue_phase2(VolumeCtx& ctx,
                                       std::span<cxf> host_work,
                                       double vol_start_ms,
                                       ShardedTiming& timing) {
-  const std::size_t plane = n_ * n_;
+  const PlaneCodec& c = codec_;
+  const std::size_t regions = c.widths.size();
+  const std::size_t plane = c.plane();
   const std::size_t local_nz = n_ / shards_;
   const std::size_t nm = ctx.members.size();
-  const Shape3 pencil_slab{n_, n_, shards_};
+  const bool peer = ctx.layout.exchange == Exchange::Peer;
   const StagePolicy& sp = this->exec_policy().staging;
 
-  if (ctx.layout.exchange == Exchange::HostStaged) {
+  if (!peer) {
     // Group-wide phase boundary: every phase-2 group gathers one plane
     // from each phase-1 residue — i.e. from every card — so all streams
     // fence at the maximum stream tail. The members share one time
@@ -528,105 +613,114 @@ void ShardedFft3DPlan::enqueue_phase2(VolumeCtx& ctx,
     }
     ctx.fence(barrier);
     timing.barrier_ms = barrier - vol_start_ms;
+  } else {
+    // Peer exchange: no group-wide barrier. Each member fences its own
+    // two streams on (a) its own phase-1 tails (its slabs fed the
+    // self-copies) and (b) its receive Event — the last d2d leg landing
+    // in its receive buffer. barrier_ms reports the latest member fence
+    // for continuity with the host-staged breakdown.
+    double latest = vol_start_ms;
+    for (std::size_t mi = 0; mi < nm; ++mi) {
+      sim::Stream& s0 = ctx.stream(mi, 0);
+      sim::Stream& s1 = ctx.stream(mi, 1);
+      const double own = std::max(s0.ready_ms(), s1.ready_ms());
+      s0.wait(ctx.recv_done[mi]);
+      s1.wait(ctx.recv_done[mi]);
+      s0.wait_until_ms(own);
+      s1.wait_until_ms(own);
+      latest = std::max({latest, own, ctx.recv_done[mi].time_ms()});
+    }
+    timing.barrier_ms = latest - vol_start_ms;
+  }
 
-    // ---- Phase 2: contiguous block of plane groups per member ----
-    const std::size_t groups_per_dev = local_nz / nm;
+  if (ctx.layout.decomp == Decomposition::Pencil) {
+    // ---- Pencil phase 2: one (plane-group, Y-block) unit per member ----
+    // The receive buffer is already pencil-shaped — shards Z-planes of
+    // (ny, n) rows, z-major by residue — so the kernel runs in place and
+    // the downloads scatter each output plane's Y-block rows.
+    const std::size_t py = ctx.layout.y_blocks;
+    const std::size_t ny = n_ / py;
     for (std::size_t mi = 0; mi < nm; ++mi) {
       const std::size_t e = ctx.members[mi];
+      const std::size_t g = mi / py;
+      const std::size_t p = mi % py;
       auto& dev = group_->device(e);
       ShardTiming& t = timing.devices[e];
       const unsigned grid = opt_.grid_for(dev.spec());
-      for (std::size_t g = 0; g < groups_per_dev; ++g) {
-        const std::size_t k = mi * groups_per_dev + g;
-        sim::Stream& s = ctx.stream(mi, g % 2);
-        auto& slab = ctx.slab(mi, g % 2);
-
-        t.h2d2_ms += staged_h2d(
-            dev, slab,
-            std::span<const cxf>(host_work)
-                .subspan(shards_ * k * plane, shards_ * plane),
-            &s, /*dst_offset=*/0, sp);
-        t.exchange_bytes += shards_ * plane * sizeof(cxf);
-
-        ZPencilFftKernel fft(slab, pencil_slab, desc_.dir, grid, 0,
-                             opt_.threads_per_block);
-        t.fft2_ms += dev.launch_async(fft, s).total_ms;
-
-        for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-          const std::size_t z = k + local_nz * k2;
-          t.d2h2_ms += staged_d2h(dev, host_data.subspan(z * plane, plane),
-                                  slab, &s, k2 * plane, sp);
-        }
+      sim::Stream& s = ctx.stream(mi, 0);
+      ZPencilFftKernel fft(ctx.recv(mi), Shape3{n_, ny, shards_}, desc_.dir,
+                           grid, 0, opt_.threads_per_block);
+      t.fft2_ms += dev.launch_async(fft, s).total_ms;
+      for (std::size_t k2 = 0; k2 < shards_; ++k2) {
+        const std::size_t z = g + local_nz * k2;
+        t.d2h2_ms += staged_d2h(
+            dev, host_data.subspan(z * plane + p * ny * n_, ny * n_),
+            ctx.recv(mi), &s, k2 * ny * n_, sp);
       }
     }
     return;
   }
 
-  // Peer exchange: no group-wide barrier. Each member fences its own two
-  // streams on (a) its own phase-1 tails (its slabs fed the self-copies)
-  // and (b) its receive Event — the last d2d leg landing in its receive
-  // buffer. barrier_ms reports the latest member fence for continuity
-  // with the host-staged breakdown.
-  double latest = vol_start_ms;
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    sim::Stream& s0 = ctx.stream(mi, 0);
-    sim::Stream& s1 = ctx.stream(mi, 1);
-    const double own = std::max(s0.ready_ms(), s1.ready_ms());
-    s0.wait(ctx.recv_done[mi]);
-    s1.wait(ctx.recv_done[mi]);
-    s0.wait_until_ms(own);
-    s1.wait_until_ms(own);
-    latest = std::max({latest, own, ctx.recv_done[mi].time_ms()});
-  }
-  timing.barrier_ms = latest - vol_start_ms;
-
-  if (ctx.layout.decomp == Decomposition::Slab) {
-    // ---- Phase 2 in place on the receive buffer, no upload leg ----
-    const std::size_t gpd = local_nz / nm;
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      const std::size_t e = ctx.members[mi];
-      auto& dev = group_->device(e);
-      ShardTiming& t = timing.devices[e];
-      const unsigned grid = opt_.grid_for(dev.spec());
-      for (std::size_t gl = 0; gl < gpd; ++gl) {
-        const std::size_t k = mi * gpd + gl;
-        sim::Stream& s = ctx.stream(mi, gl % 2);
-        ZPencilFftKernel fft(ctx.recv(mi), pencil_slab, desc_.dir, grid,
-                             gl * shards_ * plane, opt_.threads_per_block);
-        t.fft2_ms += dev.launch_async(fft, s).total_ms;
-        for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-          const std::size_t z = k + local_nz * k2;
-          t.d2h2_ms += staged_d2h(dev, host_data.subspan(z * plane, plane),
-                                  ctx.recv(mi), &s,
-                                  gl * shards_ * plane + k2 * plane, sp);
-        }
-      }
-    }
-    return;
-  }
-
-  // ---- Pencil phase 2: one (plane-group, Y-block) unit per member ----
-  // The receive buffer is already pencil-shaped — shards Z-planes of
-  // (ny, n) rows, z-major by residue — so the kernel runs in place and
-  // the downloads scatter each output plane's Y-block rows.
-  const std::size_t py = ctx.layout.y_blocks;
-  const std::size_t ny = n_ / py;
+  // ---- Phase 2: contiguous block of plane groups per member ----
+  // Host-staged runs upload each group's planes into a slab; peer runs
+  // find them already in the receive buffer, one phase-2 slab per group,
+  // and run in place.
+  const std::size_t gpd = local_nz / nm;
   for (std::size_t mi = 0; mi < nm; ++mi) {
     const std::size_t e = ctx.members[mi];
-    const std::size_t g = mi / py;
-    const std::size_t p = mi % py;
     auto& dev = group_->device(e);
     ShardTiming& t = timing.devices[e];
     const unsigned grid = opt_.grid_for(dev.spec());
-    sim::Stream& s = ctx.stream(mi, 0);
-    ZPencilFftKernel fft(ctx.recv(mi), Shape3{n_, ny, shards_}, desc_.dir,
-                         grid, 0, opt_.threads_per_block);
-    t.fft2_ms += dev.launch_async(fft, s).total_ms;
-    for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-      const std::size_t z = g + local_nz * k2;
-      t.d2h2_ms += staged_d2h(
-          dev, host_data.subspan(z * plane + p * ny * n_, ny * n_),
-          ctx.recv(mi), &s, k2 * ny * n_, sp);
+    for (std::size_t gl = 0; gl < gpd; ++gl) {
+      const std::size_t k = mi * gpd + gl;
+      sim::Stream& s = ctx.stream(mi, gl % 2);
+      auto& buf = peer ? ctx.recv(mi) : ctx.slab(mi, gl % 2);
+      const std::size_t off = peer ? gl * shards_ * plane : 0;
+
+      if (!peer) {
+        for (std::size_t r = 0; r < regions; ++r) {
+          t.h2d2_ms += staged_h2d(
+              dev, buf,
+              std::span<const cxf>(host_work)
+                  .subspan(c.at(r, n_, shards_ * k), shards_ * c.size(r)),
+              &s, c.base(r, shards_), sp);
+        }
+        t.exchange_bytes += shards_ * plane * sizeof(cxf);
+      }
+
+      for (std::size_t r = 0; r < regions; ++r) {
+        ZPencilFftKernel fft(buf, Shape3{c.widths[r], n_, shards_},
+                             desc_.dir, grid, off + c.base(r, shards_),
+                             opt_.threads_per_block);
+        t.fft2_ms += dev.launch_async(fft, s).total_ms;
+      }
+
+      if (c2r_) {
+        // Z is whole again: finish with the fused c2r pass, folding the
+        // full 1/(n/2 * n * n) normalization (true inverse).
+        RealFineParams fp;
+        fp.nx = n_;
+        fp.count = n_ * shards_;
+        fp.twiddles = opt_.fine_twiddles;
+        fp.grid_blocks = grid;
+        fp.threads_per_block = static_cast<unsigned>(
+            std::max<std::size_t>(n_ / 8, opt_.threads_per_block));
+        fp.shmem_pad_words = opt_.shmem_pad_words;
+        fp.scale = 1.0 / (static_cast<double>(n_ / 2) *
+                          static_cast<double>(n_) * static_cast<double>(n_));
+        fp.elem_offset = off;
+        RealFineC2RKernel fine(buf, fp, tw_half_[e].get(), tw_full_[e].get());
+        t.fft2_ms += dev.launch_async(fine, s).total_ms;
+      }
+
+      for (std::size_t k2 = 0; k2 < shards_; ++k2) {
+        const std::size_t z = k + local_nz * k2;
+        for (std::size_t r = 0; r < regions; ++r) {
+          t.d2h2_ms += staged_d2h(
+              dev, host_data.subspan(c.at(r, n_, z), c.size(r)), buf, &s,
+              off + c.at(r, shards_, k2), sp);
+        }
+      }
     }
   }
 }
@@ -646,8 +740,8 @@ ShardedTiming ShardedFft3DPlan::run_on(
   enqueue_volume(*ctx, host_data, host_work_, start_ms, timing);
   group_->sync_all();
   if (verify) {
-    verify_phase2_regions(*group_, members, layout, n_, shards_, host_data,
-                          e_in);
+    verify_phase2_regions(*group_, members, layout, codec_, shards_,
+                          host_data, e_in);
   }
   timing.makespan_ms = group_->elapsed_ms() - start_ms;
   last_layout_ = layout;
@@ -656,21 +750,13 @@ ShardedTiming ShardedFft3DPlan::run_on(
   return timing;
 }
 
-std::vector<StepTiming> ShardedFft3DPlan::execute_host(std::span<cxf> data) {
-  const ShardedTiming t = execute(data);
+std::vector<StepTiming> ShardedFft3DPlan::phase_rows(const ShardedTiming& t,
+                                                     std::size_t volumes) {
   ShardTiming sum;
-  for (const auto& d : t.devices) {
-    sum.h2d1_ms += d.h2d1_ms;
-    sum.fft1_ms += d.fft1_ms;
-    sum.twiddle_ms += d.twiddle_ms;
-    sum.d2h1_ms += d.d2h1_ms;
-    sum.h2d2_ms += d.h2d2_ms;
-    sum.fft2_ms += d.fft2_ms;
-    sum.d2h2_ms += d.d2h2_ms;
-  }
-  const double bytes = static_cast<double>(n_ * n_ * n_) * sizeof(cxf);
+  for (const auto& d : t.devices) accumulate(sum, d);
+  const double bytes = static_cast<double>(volumes) *
+                       static_cast<double>(buffer_elements()) * sizeof(cxf);
   auto row = [&](const char* name, double ms) {
-    // Each phase touches the full volume once in each direction.
     return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
   };
   std::vector<StepTiming> steps{
@@ -687,6 +773,10 @@ std::vector<StepTiming> ShardedFft3DPlan::execute_host(std::span<cxf> data) {
   // cost of the run is the overlapped group makespan.
   last_total_ms_ = t.makespan_ms;
   return steps;
+}
+
+std::vector<StepTiming> ShardedFft3DPlan::execute_host(std::span<cxf> data) {
+  return phase_rows(execute(data), 1);
 }
 
 double ShardedBatchTiming::exchange_occupancy() const {
@@ -781,7 +871,7 @@ double replay_pipelined_ms(const ShardPhases& p, bool one_dma,
 ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     std::span<const std::span<cxf>> volumes, BatchMode mode) {
   REPRO_CHECK(!volumes.empty());
-  for (const auto& v : volumes) REPRO_CHECK(v.size() == n_ * n_ * n_);
+  for (const auto& v : volumes) REPRO_CHECK(v.size() == buffer_elements());
   // Verified batches drain serially: the pipelined interleave keeps
   // several volumes in flight, so a failed check could not recompute one
   // volume without replaying the whole window, while the serial path
@@ -838,9 +928,9 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
       if (shard.layout.exchange == Exchange::HostStaged &&
           host_work_extra_[0].empty()) {
         for (std::size_t i = 0; i + 1 < kPipelineContexts; ++i) {
-          host_work_extra_[i].resize(n_ * n_ * n_);
+          host_work_extra_[i].resize(buffer_elements());
           staging_lease_extra_[i] = sim::DeviceGroup::HostStagingLease(
-              *group_, n_ * n_ * n_ * sizeof(cxf));
+              *group_, buffer_elements() * sizeof(cxf));
         }
       }
     };
@@ -856,6 +946,9 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
       return slot == 0 ? std::span<cxf>(host_work_)
                        : std::span<cxf>(host_work_extra_[slot - 1]);
     };
+    // The probe measures complex-layout phases; half-spectrum batches
+    // use it as a stand-in (it only picks the issue order, never the
+    // result bits).
     if (!probe_phases_) {
       probe_phases_ = probe_shard_phases(
           group_->device(shard.members[0]).spec(), n_, shards_, desc_.dir);
@@ -965,488 +1058,7 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
 
 std::vector<StepTiming> ShardedFft3DPlan::execute_batch_host(
     std::span<const std::span<cxf>> volumes) {
-  const ShardedBatchTiming bt = execute_batch(volumes);
-  ShardTiming sum;
-  for (const auto& d : bt.total.devices) {
-    sum.h2d1_ms += d.h2d1_ms;
-    sum.fft1_ms += d.fft1_ms;
-    sum.twiddle_ms += d.twiddle_ms;
-    sum.d2h1_ms += d.d2h1_ms;
-    sum.h2d2_ms += d.h2d2_ms;
-    sum.fft2_ms += d.fft2_ms;
-    sum.d2h2_ms += d.d2h2_ms;
-  }
-  const double bytes = static_cast<double>(volumes.size()) *
-                       static_cast<double>(n_ * n_ * n_) * sizeof(cxf);
-  auto row = [&](const char* name, double ms) {
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
-  };
-  std::vector<StepTiming> steps{
-      row("phase1 send", sum.h2d1_ms),
-      row("phase1 slab FFT", sum.fft1_ms),
-      row("phase1 twiddle", sum.twiddle_ms),
-      row("exchange receive", sum.d2h1_ms),
-      row("exchange send", sum.h2d2_ms),
-      row("phase2 pencil FFT", sum.fft2_ms),
-      row("phase2 receive", sum.d2h2_ms),
-  };
-  finish(steps);
-  // The rows are duration sums across the batch; the cost of the run is
-  // the overlapped (pipelined) batch makespan.
-  last_total_ms_ = bt.makespan_ms;
-  return steps;
-}
-
-ShardedRealFft3DPlan::ShardedRealFft3DPlan(sim::DeviceGroup& group,
-                                           std::size_t n, std::size_t shards,
-                                           Direction dir, TuneConfig tune)
-    : PlanBaseT<float>(
-          group.device(0),
-          PlanDesc::sharded_real3d(n, effective_shards(shards, tune), dir)),
-      group_(&group),
-      opt_(tune),
-      n_(n),
-      shards_(effective_shards(shards, tune)),
-      slab_shape_{n, n, n / shards_},
-      host_work_((n / 2 + 1) * n * n),
-      staging_lease_(group, (n / 2 + 1) * n * n * sizeof(cxf)) {
-  REPRO_CHECK_MSG(n % shards_ == 0,
-                  "shards must divide n; got n=" + fft::describe_size(n) +
-                      " shards=" + std::to_string(shards_));
-  REPRO_CHECK_MSG(shards_ >= 2 && shards_ <= kMaxFactor,
-                  "shards must be a supported small-FFT factor");
-  REPRO_CHECK_MSG(is_pow2(n) && is_pow2(shards_),
-                  "sharded real plans still need power-of-two extents (the "
-                  "packed half-length X pass runs the radix-4/2 fine "
-                  "kernel); got n=" + fft::describe_size(n) +
-                      " — transform a complex copy through the sharded "
-                      "complex plan, which accepts any n");
-  REPRO_CHECK_MSG(n >= 32,
-                  "sharded real plans need n >= 32 (the half-length X fine "
-                  "stages need n/2 >= 16)");
-  // As with the complex plan, non-dividing group sizes run on the
-  // largest usable member prefix.
-  desc_.tune = tune;
-  for (std::size_t d = 0; d < group.size(); ++d) {
-    auto& dev = group.device(d);
-    if (dev.lost()) {
-      // No per-member resources for a member that is already gone; the
-      // schedule only touches alive members.
-      if (dir == Direction::Forward) {
-        slab_plans_.push_back(nullptr);
-      } else {
-        tw_half_.emplace_back();
-        tw_full_.emplace_back();
-      }
-      continue;
-    }
-    if (dir == Direction::Forward) {
-      // Phase 1 runs the whole real slab plan (r2c X + coarse Y/local-Z).
-      slab_plans_.push_back(PlanRegistry::of(dev).get_or_create(
-          tuned_slab_desc(PlanDesc::real3d(slab_shape_, dir), tune)));
-    } else {
-      // Phase 2 finishes with the fused c2r pass; share its tables now.
-      tw_half_.push_back(ResourceCache::of(dev).twiddles<float>(n / 2, dir));
-      tw_full_.push_back(ResourceCache::of(dev).twiddles<float>(n, dir));
-    }
-  }
-}
-
-std::vector<StepTiming> ShardedRealFft3DPlan::execute_impl(DeviceBuffer<cxf>&) {
-  REPRO_FAIL(
-      "sharded plans transform host-resident volumes distributed across a "
-      "device group; use execute_host()");
-}
-
-ShardedTiming ShardedRealFft3DPlan::execute(std::span<cxf> host_data) {
-  REPRO_CHECK(host_data.size() == buffer_elements());
-  return with_plan_context(desc_, [&] {
-    return verified_span_run<float>(
-        this->device(), this->exec_policy(), desc_, host_data, [&] {
-          return run_with_failover(
-              *group_, host_data,
-              [&](std::vector<std::size_t> alive) {
-                return resolve_shard(group_->topo(), group_, std::move(alive),
-                                     n_, shards_, Decomposition::Slab);
-              },
-              [&](const std::vector<std::size_t>& members,
-                  const ShardLayout& layout) {
-                return run_on(members, layout, host_data);
-              });
-        });
-  });
-}
-
-ShardedTiming ShardedRealFft3DPlan::run_on(
-    const std::vector<std::size_t>& members, const ShardLayout& layout,
-    std::span<cxf> host_data) {
-  // Split layout (real3d.h): a logical Z-plane is an (n/2)*n main span
-  // plus an n-element Nyquist tail row; both are contiguous in the host
-  // volume and in each staged slab, so every plane costs two transfers of
-  // mrow + n = (n/2+1)*n elements total.
-  const std::size_t mrow = (n_ / 2) * n_;   // main elements per Z-plane
-  const std::size_t plane = mrow + n_;      // total elements per Z-plane
-  const std::size_t tail = mrow * n_;       // host tail-plane base
-  const std::size_t local_nz = n_ / shards_;
-  const std::size_t nm = members.size();
-  const bool forward = desc_.dir == Direction::Forward;
-  const StagePolicy& sp = this->exec_policy().staging;
-  const bool verify = this->exec_policy().verify != VerifyPolicy::Off;
-  const double e_in =
-      verify ? span_energy<float>(std::span<const cxf>(host_data)) : 0.0;
-
-  const std::size_t slab_elems = plane * std::max(local_nz, shards_);
-  std::vector<ResourceCache::Lease<float>> leases;
-  std::vector<std::unique_ptr<sim::Stream>> streams;
-  leases.reserve(2 * nm);
-  streams.reserve(2 * nm);
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    auto& dev = group_->device(members[mi]);
-    leases.push_back(ResourceCache::of(dev).lease<float>(slab_elems));
-    leases.push_back(ResourceCache::of(dev).lease<float>(slab_elems));
-    streams.push_back(std::make_unique<sim::Stream>(dev));
-    streams.push_back(std::make_unique<sim::Stream>(dev));
-  }
-  auto slab_of = [&](std::size_t mi, std::size_t i) -> DeviceBuffer<cxf>& {
-    return leases[2 * mi + i].buffer();
-  };
-  auto stream_of = [&](std::size_t mi, std::size_t i) -> sim::Stream& {
-    return *streams[2 * mi + i];
-  };
-
-  // Peer exchange state: each member's receive buffer mirrors its slice
-  // of the host staging volume (main region of gpd*shards Z-plane main
-  // spans, then the packed Nyquist tail rows), so phase 2 gathers its
-  // plane group out of it with local d2d copies and runs the existing
-  // kernels on the slab unchanged.
-  const bool peer = layout.exchange == Exchange::Peer;
-  const std::size_t gpd = local_nz / nm;
-  const std::size_t recv_tail = gpd * shards_ * mrow;  // tail region base
-  std::vector<ResourceCache::Lease<float>> recv_leases;
-  std::vector<std::unique_ptr<sim::Stream>> exch_owned;
-  std::vector<sim::Stream*> exch(group_->size(), nullptr);
-  std::vector<sim::Event> recv_done(nm);
-  if (peer) {
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      auto& dev = group_->device(members[mi]);
-      recv_leases.push_back(
-          ResourceCache::of(dev).lease<float>(gpd * shards_ * plane));
-    }
-    for (std::size_t d = 0; d < group_->size(); ++d) {
-      if (group_->device(d).lost()) continue;
-      exch_owned.push_back(
-          std::make_unique<sim::Stream>(group_->device(d)));
-      exch[d] = exch_owned.back().get();
-    }
-  }
-
-  const double start_ms = group_->elapsed_ms();
-  ShardedTiming timing;
-  timing.devices.resize(group_->size());
-  auto charge = [&timing](const std::vector<sim::PeerLeg>& legs) {
-    for (const auto& leg : legs) {
-      timing.devices[leg.from].d2h1_ms += leg.dur_ms;
-      if (leg.to != leg.from) timing.devices[leg.to].h2d2_ms += leg.dur_ms;
-    }
-  };
-
-  // ---- Phase 1: residue I on member I mod nm ----
-  // Forward: full real slab plan (r2c X + coarse Y/local-Z) + twiddle.
-  // Inverse: coarse Y/local-Z ranks only (the c2r pass needs the full Z
-  // axis, which phase 2 reassembles) + twiddle.
-  for (std::size_t residue = 0; residue < shards_; ++residue) {
-    const std::size_t mi = residue % nm;
-    const std::size_t d = members[mi];
-    const std::size_t local = residue / nm;
-    auto& dev = group_->device(d);
-    ShardTiming& t = timing.devices[d];
-    sim::Stream& s = stream_of(mi, local % 2);
-    auto& slab = slab_of(mi, local % 2);
-    const unsigned grid = opt_.grid_for(dev.spec());
-    const std::size_t slab_tail = mrow * local_nz;  // slab tail-region base
-
-    const std::span<const cxf> host_src = host_data;
-    for (std::size_t j = 0; j < local_nz; ++j) {
-      const std::size_t z = residue + shards_ * j;
-      t.h2d1_ms += staged_h2d(dev, slab, host_src.subspan(z * mrow, mrow),
-                              &s, j * mrow, sp);
-      t.h2d1_ms += staged_h2d(dev, slab, host_src.subspan(tail + z * n_, n_),
-                              &s, slab_tail + j * n_, sp);
-    }
-
-    if (forward) {
-      for (const auto& step : slab_plans_[d]->execute_async(slab, s)) {
-        t.fft1_ms += step.ms;
-      }
-    } else {
-      const Device::StreamGuard guard(dev, s);
-      t.fft1_ms += run_real_coarse_slab<float>(dev, slab, slab_shape_,
-                                               desc_.dir, opt_);
-    }
-
-    // Inter-rank Z twiddles over both layout regions of the slab.
-    SlabTwiddleKernel tw_main(slab, Shape3{n_ / 2, n_, local_nz}, n_,
-                              residue, desc_.dir, grid, 0,
-                              opt_.threads_per_block);
-    t.twiddle_ms += dev.launch_async(tw_main, s).total_ms;
-    SlabTwiddleKernel tw_tail(slab, Shape3{1, n_, local_nz}, n_, residue,
-                              desc_.dir, grid, slab_tail,
-                              opt_.threads_per_block);
-    t.twiddle_ms += dev.launch_async(tw_tail, s).total_ms;
-
-    if (verify) {
-      // Per-pass ABFT guard with the producing member attributed (see
-      // the complex plan). The slab's main and tail regions are
-      // contiguous, so one prefix covers both.
-      double e_res = 0.0;
-      for (std::size_t j = 0; j < local_nz; ++j) {
-        const std::size_t z = residue + shards_ * j;
-        e_res += span_energy<float>(
-            std::span<const cxf>(host_data).subspan(z * mrow, mrow));
-        e_res += span_energy<float>(
-            std::span<const cxf>(host_data).subspan(tail + z * n_, n_));
-      }
-      const double e_out = span_energy<float>(
-          std::span<const cxf>(slab.span()).first(local_nz * plane));
-      if (!pass_energy_plausible(e_res, e_out, n_ * n_ * n_)) {
-        fail_pass_check(dev, "pass-energy",
-                        4.0 * static_cast<double>(n_ * n_ * n_) *
-                            std::max(e_res, 1e-300),
-                        e_out);
-      }
-    }
-
-    if (!peer) {
-      // The download IS the all-to-all send — and it carries (n/2+1)/n
-      // of the complex plan's bytes, the point of the real layout.
-      for (std::size_t k = 0; k < local_nz; ++k) {
-        const std::size_t z = residue + shards_ * k;
-        t.d2h1_ms += staged_d2h(
-            dev, std::span<cxf>(host_work_).subspan(z * mrow, mrow), slab,
-            &s, k * mrow, sp);
-        t.d2h1_ms += staged_d2h(
-            dev, std::span<cxf>(host_work_).subspan(tail + z * n_, n_),
-            slab, &s, slab_tail + k * n_, sp);
-        t.exchange_bytes += plane * sizeof(cxf);
-      }
-      continue;
-    }
-
-    // Peer exchange in ring order (see ShardedFft3DPlan): two legs per
-    // plane, the main span and its Nyquist tail row, landing at the
-    // consumer's host-staging-mirroring offsets.
-    for (std::size_t r = 0; r < nm; ++r) {
-      const std::size_t emi = (mi + r) % nm;
-      const std::size_t e = members[emi];
-      auto& rbuf = recv_leases[emi].buffer();
-      for (std::size_t gl = 0; gl < gpd; ++gl) {
-        const std::size_t j = emi * gpd + gl;  // slab plane == group k
-        charge(group_->d2d_async(d, e, slab, j * mrow, rbuf,
-                                 (gl * shards_ + residue) * mrow, mrow, s,
-                                 std::span<sim::Stream* const>(exch)));
-        charge(group_->d2d_async(
-            d, e, slab, slab_tail + j * n_, rbuf,
-            recv_tail + (gl * shards_ + residue) * n_, n_, s,
-            std::span<sim::Stream* const>(exch)));
-        t.exchange_bytes += plane * sizeof(cxf);
-      }
-    }
-  }
-
-  if (peer) {
-    // Per-member receive fence (see ShardedFft3DPlan::enqueue_phase1).
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      exch[members[mi]]->record(recv_done[mi]);
-    }
-    double latest = start_ms;
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      sim::Stream& s0 = stream_of(mi, 0);
-      sim::Stream& s1 = stream_of(mi, 1);
-      const double own = std::max(s0.ready_ms(), s1.ready_ms());
-      s0.wait(recv_done[mi]);
-      s1.wait(recv_done[mi]);
-      s0.wait_until_ms(own);
-      s1.wait_until_ms(own);
-      latest = std::max({latest, own, recv_done[mi].time_ms()});
-    }
-    timing.barrier_ms = latest - start_ms;
-  } else {
-    // Group-wide phase boundary (see ShardedFft3DPlan::run_on).
-    double barrier = start_ms;
-    for (const auto& s : streams) barrier = std::max(barrier, s->ready_ms());
-    for (auto& s : streams) s->wait_until_ms(barrier);
-    timing.barrier_ms = barrier - start_ms;
-  }
-
-  // ---- Phase 2: contiguous block of plane groups per member ----
-  const std::size_t groups_per_dev = local_nz / nm;
-  const std::size_t slab2_tail = mrow * shards_;  // slab tail-region base
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    const std::size_t e = members[mi];
-    auto& dev = group_->device(e);
-    ShardTiming& t = timing.devices[e];
-    const unsigned grid = opt_.grid_for(dev.spec());
-    for (std::size_t g = 0; g < groups_per_dev; ++g) {
-      const std::size_t k = mi * groups_per_dev + g;
-      sim::Stream& s = stream_of(mi, g % 2);
-      auto& slab = slab_of(mi, g % 2);
-
-      if (!peer) {
-        t.h2d2_ms += staged_h2d(
-            dev, slab,
-            std::span<const cxf>(host_work_)
-                .subspan(shards_ * k * mrow, shards_ * mrow),
-            &s, /*dst_offset=*/0, sp);
-        t.h2d2_ms += staged_h2d(
-            dev, slab,
-            std::span<const cxf>(host_work_)
-                .subspan(tail + shards_ * k * n_, shards_ * n_),
-            &s, slab2_tail, sp);
-        t.exchange_bytes += shards_ * plane * sizeof(cxf);
-      } else {
-        // Gather this plane group out of the receive buffer with local
-        // d2d copies (both layout regions), then run the unchanged
-        // phase-2 kernels on the slab. The gather is the receive half
-        // of the exchange, so its time lands in the h2d2 bucket.
-        auto& rbuf = recv_leases[mi].buffer();
-        for (const auto& leg : group_->d2d_async(
-                 e, e, rbuf, g * shards_ * mrow, slab, 0, shards_ * mrow,
-                 s, std::span<sim::Stream* const>(exch))) {
-          t.h2d2_ms += leg.dur_ms;
-        }
-        for (const auto& leg : group_->d2d_async(
-                 e, e, rbuf, recv_tail + g * shards_ * n_, slab,
-                 slab2_tail, shards_ * n_, s,
-                 std::span<sim::Stream* const>(exch))) {
-          t.h2d2_ms += leg.dur_ms;
-        }
-      }
-
-      ZPencilFftKernel fft_main(slab, Shape3{n_ / 2, n_, shards_},
-                                desc_.dir, grid, 0, opt_.threads_per_block);
-      t.fft2_ms += dev.launch_async(fft_main, s).total_ms;
-      ZPencilFftKernel fft_tail(slab, Shape3{1, n_, shards_}, desc_.dir,
-                                grid, slab2_tail, opt_.threads_per_block);
-      t.fft2_ms += dev.launch_async(fft_tail, s).total_ms;
-
-      if (!forward) {
-        // Z is whole again: finish with the fused c2r pass, folding the
-        // full 1/(n/2 * n * n) normalization (true inverse).
-        RealFineParams fp;
-        fp.nx = n_;
-        fp.count = n_ * shards_;
-        fp.twiddles = opt_.fine_twiddles;
-        fp.grid_blocks = grid;
-        fp.threads_per_block = static_cast<unsigned>(
-            std::max<std::size_t>(n_ / 8, opt_.threads_per_block));
-        fp.shmem_pad_words = opt_.shmem_pad_words;
-        fp.scale = 1.0 / (static_cast<double>(n_ / 2) *
-                          static_cast<double>(n_) * static_cast<double>(n_));
-        RealFineC2RKernel c2r(slab, fp, tw_half_[e].get(), tw_full_[e].get());
-        t.fft2_ms += dev.launch_async(c2r, s).total_ms;
-      }
-
-      for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-        const std::size_t z = k + local_nz * k2;
-        t.d2h2_ms += staged_d2h(dev, host_data.subspan(z * mrow, mrow),
-                                slab, &s, k2 * mrow, sp);
-        t.d2h2_ms += staged_d2h(dev, host_data.subspan(tail + z * n_, n_),
-                                slab, &s, slab2_tail + k2 * n_, sp);
-      }
-    }
-  }
-
-  group_->sync_all();
-  if (verify) {
-    // Per-member phase-2 plausibility over the split output layout:
-    // member mi wrote planes z = k + local_nz*k2 for its plane-group
-    // block, each an mrow main span plus an n-element tail row.
-    const std::size_t points = n_ * n_ * n_;
-    const double bound =
-        4.0 * static_cast<double>(points) * std::max(e_in, 1e-300);
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      double e = 0.0;
-      for (std::size_t g = 0; g < groups_per_dev; ++g) {
-        const std::size_t k = mi * groups_per_dev + g;
-        for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-          const std::size_t z = k + local_nz * k2;
-          e += span_energy<float>(
-              std::span<const cxf>(host_data).subspan(z * mrow, mrow));
-          e += span_energy<float>(
-              std::span<const cxf>(host_data).subspan(tail + z * n_, n_));
-        }
-      }
-      if (!pass_energy_plausible(e_in, e, points)) {
-        fail_pass_check(group_->device(members[mi]), "phase2-energy", bound,
-                        e);
-      }
-    }
-  }
-  timing.makespan_ms = group_->elapsed_ms() - start_ms;
-  last_timing_ = timing;
-  last_total_ms_ = timing.makespan_ms;
-  return timing;
-}
-
-std::vector<StepTiming> ShardedRealFft3DPlan::execute_host(
-    std::span<cxf> data) {
-  const ShardedTiming t = execute(data);
-  ShardTiming sum;
-  for (const auto& d : t.devices) {
-    sum.h2d1_ms += d.h2d1_ms;
-    sum.fft1_ms += d.fft1_ms;
-    sum.twiddle_ms += d.twiddle_ms;
-    sum.d2h1_ms += d.d2h1_ms;
-    sum.h2d2_ms += d.h2d2_ms;
-    sum.fft2_ms += d.fft2_ms;
-    sum.d2h2_ms += d.d2h2_ms;
-  }
-  const double bytes = static_cast<double>(buffer_elements()) * sizeof(cxf);
-  auto row = [&](const char* name, double ms) {
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
-  };
-  std::vector<StepTiming> steps{
-      row("phase1 send", sum.h2d1_ms),
-      row("phase1 slab FFT", sum.fft1_ms),
-      row("phase1 twiddle", sum.twiddle_ms),
-      row("exchange receive", sum.d2h1_ms),
-      row("exchange send", sum.h2d2_ms),
-      row("phase2 pencil FFT", sum.fft2_ms),
-      row("phase2 receive", sum.d2h2_ms),
-  };
-  finish(steps);
-  last_total_ms_ = t.makespan_ms;
-  return steps;
-}
-
-std::vector<StepTiming> ShardedRealFft3DPlan::execute_batch_host(
-    std::span<const std::span<cxf>> volumes) {
-  REPRO_CHECK(!volumes.empty());
-  // Half-spectrum volumes run back-to-back; each already overlaps
-  // internally per card. (The complex plan owns the pipelined path.)
-  const double t0 = group_->elapsed_ms();
-  std::vector<StepTiming> total;
-  std::vector<double> traffic;
-  for (const auto& volume : volumes) {
-    const auto steps = execute_host(volume);
-    if (total.empty()) {
-      total = steps;
-      traffic.resize(steps.size());
-      for (std::size_t i = 0; i < steps.size(); ++i) {
-        traffic[i] = steps[i].gbs * steps[i].ms;
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      total[i].ms += steps[i].ms;
-      traffic[i] += steps[i].gbs * steps[i].ms;
-    }
-  }
-  for (std::size_t i = 0; i < total.size(); ++i) {
-    total[i].gbs = total[i].ms > 0.0 ? traffic[i] / total[i].ms : 0.0;
-  }
-  last_total_ms_ = group_->elapsed_ms() - t0;
-  return total;
+  return phase_rows(execute_batch(volumes).total, volumes.size());
 }
 
 ShardLayout shard_layout(const sim::Topology& topo, std::size_t n,

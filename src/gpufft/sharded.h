@@ -60,6 +60,21 @@
 // extents. Results stay bit-identical because decimation arithmetic
 // depends only on `shards`, never on the member count.
 //
+// The same schedule serves r2c/c2r cubes over the split half-spectrum
+// layout (real3d.h), selected by the description's Layout: a PlaneCodec
+// describes a Z-plane as row regions — one n-wide region for Complex, an
+// (n/2)-wide main span plus its 1-wide Nyquist tail for RealHalfSpectrum
+// — and every staged transfer, kernel, peer leg and energy sum loops over
+// them. A half-spectrum plane is (n/2+1)*n elements, so the all-to-all
+// moves (n/2+1)/n (~half) of the complex exchange bytes. The forward real
+// phase 1 runs the registry-obtained real slab plan (fused r2c X fine +
+// coarse Y/local-Z ranks). The inverse cannot run its c2r fine pass in
+// phase 1 (the Z axis is still decimated), so phase 1 runs only the
+// coarse Y/local-Z ranks (run_real_coarse_slab) and phase 2 finishes with
+// the fused c2r kernel, which folds the full normalization — a true
+// inverse, like RealFft3DT. Half-spectrum plans always take the slab
+// decomposition.
+//
 // probe_shard_phases/sharded_model_ms give the closed-form pipeline model
 // the bench cross-checks the scheduler against (the bench_async_overlap
 // pattern): serial chains on 1-DMA cards, depth-2 double-buffered rates on
@@ -200,17 +215,6 @@ struct ShardedBatchTiming {
   /// Same denominator, numerator = kernel time (fft1 + twiddle + fft2).
   [[nodiscard]] double compute_occupancy() const;
 };
-/// `shards` is the Z-decimation factor S (the out-of-core `splits`,
-/// decoupled from the device count so results are bit-identical for every
-/// N); each device owns shards/N residues in phase 1 and a contiguous
-/// (n/shards)/N block of plane groups in phase 2. As an FftPlan it
-/// supports the host entry points only — the volume is never resident on
-/// any single card. Obtain through a group-attached PlanRegistry:
-///
-///   sim::DeviceGroup group(4, sim::geforce_8800_gts());
-///   auto plan = gpufft::PlanRegistry::of(group).get_or_create(
-///       gpufft::PlanDesc::sharded3d(256, 8, gpufft::Direction::Forward));
-///   plan->execute_host(volume);
 /// Volume contexts the pipelined batch keeps in flight (slab leases,
 /// streams, and host staging rotate over this many slots). Two is the
 /// minimum for any cross-volume overlap, but the context count also
@@ -232,12 +236,59 @@ struct ShardPhases {
   double up2_ms{}, fft2_ms{}, dn2_ms{};
 };
 
+/// A Z-plane's memory layout as data: a list of row regions, each `n`
+/// rows (the Y extent) of its own X width — {n} for Complex, {n/2, 1}
+/// (main span, Nyquist tail) for the split half-spectrum layout. Any
+/// buffer holding k planes stores the region blocks back to back: all k
+/// planes of region 0, then all k planes of region 1.
+struct PlaneCodec {
+  std::size_t n{};
+  std::vector<std::size_t> widths;
+
+  /// Elements of region `r` in one plane.
+  [[nodiscard]] std::size_t size(std::size_t r) const {
+    return widths[r] * n;
+  }
+  /// Elements of one whole plane.
+  [[nodiscard]] std::size_t plane() const { return base(widths.size(), 1); }
+  /// Offset of region `r`'s block in a buffer of `k` planes.
+  [[nodiscard]] std::size_t base(std::size_t r, std::size_t k) const {
+    std::size_t off = 0;
+    for (std::size_t q = 0; q < r; ++q) off += k * size(q);
+    return off;
+  }
+  /// Offset of region `r` of plane `j` in a buffer of `k` planes.
+  [[nodiscard]] std::size_t at(std::size_t r, std::size_t k,
+                               std::size_t j) const {
+    return base(r, k) + j * size(r);
+  }
+};
+
+/// `shards` is the Z-decimation factor S (the out-of-core `splits`,
+/// decoupled from the device count so results are bit-identical for every
+/// N); each device owns shards/N residues in phase 1 and a contiguous
+/// (n/shards)/N block of plane groups in phase 2. As an FftPlan it
+/// supports the host entry points only — the volume is never resident on
+/// any single card. Obtain through a group-attached PlanRegistry:
+///
+///   sim::DeviceGroup group(4, sim::geforce_8800_gts());
+///   auto plan = gpufft::PlanRegistry::of(group).get_or_create(
+///       gpufft::PlanDesc::sharded3d(256, 8, gpufft::Direction::Forward));
+///   plan->execute_host(volume);
+///
+/// PlanDesc::sharded_real3d builds the same class over the half-spectrum
+/// layout (see the file comment).
 class ShardedFft3DPlan final : public PlanBaseT<float> {
  public:
-  /// Requires shards | n, shards a supported small-FFT factor, and the
-  /// group size dividing both `shards` and `n/shards` (so both phases
-  /// split evenly across the cards). A non-zero tune.slab_depth overrides
-  /// `shards` (the TuneConfig knob).
+  /// Requires a PlanKind::Sharded3D cube description: splits | n, splits
+  /// a supported power-of-two small-FFT factor; RealHalfSpectrum layouts
+  /// also need a power-of-two n >= 32 (the real X fine pass). A non-zero
+  /// tune.slab_depth overrides `splits` (the TuneConfig knob). Any group
+  /// size works: when it divides neither `splits` nor `n/splits`, the run
+  /// uses the largest member prefix that divides both.
+  ShardedFft3DPlan(sim::DeviceGroup& group, const PlanDesc& desc);
+  /// Complex-layout convenience: PlanDesc::sharded3d(n, shards, dir) with
+  /// `tune`.
   ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
                    std::size_t shards, Direction dir, TuneConfig tune = {});
 
@@ -268,12 +319,6 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  /// Two slab staging buffers per member device.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return group_->size() * 2 * n_ * n_ * std::max(n_ / shards_, shards_) *
-           sizeof(cxf);
-  }
-
   [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
@@ -281,8 +326,9 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// The decomposition the next run will prefer. The constructor seeds
   /// it from choose_decomposition (planner.h) on peer-capable groups;
   /// the setter exists for A/B studies (bench_topology) and tests.
+  /// Half-spectrum plans accept Slab only.
   [[nodiscard]] Decomposition decomposition() const { return decomp_; }
-  void set_decomposition(Decomposition d) { decomp_ = d; }
+  void set_decomposition(Decomposition d);
 
   /// Geometry the last execute()/execute_host() actually ran with.
   [[nodiscard]] const ShardLayout& last_layout() const {
@@ -333,14 +379,27 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   ShardedTiming run_on(const std::vector<std::size_t>& members,
                        const ShardLayout& layout, std::span<cxf> host_data);
 
+  /// The seven phase rows of `t`'s buckets summed across the fleet, for
+  /// `volumes` volumes (each phase moves every volume once each way).
+  std::vector<StepTiming> phase_rows(const ShardedTiming& t,
+                                     std::size_t volumes);
+
   sim::DeviceGroup* group_;
   TuneConfig opt_;
   std::size_t n_;
   std::size_t shards_;
+  PlaneCodec codec_;
+  /// Half-spectrum inverse: phase 1 runs coarse ranks only and phase 2
+  /// ends with the fused c2r pass.
+  bool c2r_;
   Decomposition decomp_{Decomposition::Slab};
   ShardLayout last_layout_{};
-  Shape3 slab_shape_;
-  std::vector<std::shared_ptr<FftPlan>> slab_plans_;  ///< one per device
+  Shape3 slab_shape_;  ///< logical slab (n, n, n/shards)
+  /// Phase-1 slab plan per device (null for lost members and for c2r).
+  std::vector<std::shared_ptr<FftPlan>> slab_plans_;
+  /// c2r only: per-device tables of the fused pass (n/2 stages, n pack).
+  std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_half_;
+  std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_full_;
   std::vector<cxf> host_work_;
   sim::DeviceGroup::HostStagingLease staging_lease_;
   /// Extra staging volumes for the pipelined batch (slots 1..N-1 of the
@@ -353,89 +412,6 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// Phase durations probed once on the first pipelined batch (member
   /// 0's spec) to pick the issue order from the replay model.
   std::optional<ShardPhases> probe_phases_;
-  ShardedTiming last_timing_{};
-};
-
-/// Sharded r2c/c2r cube over the split half-spectrum layout (real3d.h):
-/// the same Z-decimated schedule as ShardedFft3DPlan, but every staged
-/// plane is (n/2+1)*n complex elements (a contiguous (n/2)*n main span
-/// plus its n-element Nyquist tail row), so the host-staged all-to-all
-/// moves (n/2+1)/n (~half) of the complex exchange bytes — directly
-/// attacking the bridge bound that is ~40% of the complex makespan.
-///
-/// Forward phase 1 runs the registry-obtained real slab plan (fused r2c
-/// X fine + coarse Y/local-Z ranks) per residue; phase 2 is the usual
-/// pencil Z FFT over both layout regions. The inverse cannot run its c2r
-/// fine pass in phase 1 (the Z axis is still decimated), so phase 1 runs
-/// only the coarse Y/local-Z ranks (run_real_coarse_slab) and phase 2
-/// finishes pencil Z + the fused c2r kernel, which folds the full
-/// normalization — a true inverse, like RealFft3DT. Decimation
-/// arithmetic depends only on `shards`, so results are bit-identical
-/// across device counts and spec mixes.
-class ShardedRealFft3DPlan final : public PlanBaseT<float> {
- public:
-  /// Same divisibility constraints as ShardedFft3DPlan, plus the real
-  /// X-fine constraint n >= 32 (power of two).
-  ShardedRealFft3DPlan(sim::DeviceGroup& group, std::size_t n,
-                       std::size_t shards, Direction dir,
-                       TuneConfig tune = {});
-
-  /// Transform a host-resident split-layout volume ((n/2+1)*n*n complex
-  /// elements, pack_real_volume layout) in place.
-  ShardedTiming execute(std::span<cxf> host_data);
-  /// Re-expose the device-resident entry point the span overload hides.
-  using FftPlanT<float>::execute;
-
-  /// Unsupported: the volume is distributed, never on one card.
-  std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
-
-  /// The FftPlan host entry point (phase rows summed across devices).
-  std::vector<StepTiming> execute_host(std::span<cxf> data) override;
-
-  /// Half-spectrum volumes run back-to-back (the base-class batch would
-  /// route through the unsupported device-buffer execute()).
-  std::vector<StepTiming> execute_batch_host(
-      std::span<const std::span<cxf>> volumes) override;
-
-  [[nodiscard]] std::size_t buffer_elements() const override {
-    return (n_ / 2 + 1) * n_ * n_;
-  }
-
-  /// Two slab staging buffers per member device.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return group_->size() * 2 * (n_ / 2 + 1) * n_ *
-           std::max(n_ / shards_, shards_) * sizeof(cxf);
-  }
-
-  [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
-  [[nodiscard]] std::size_t n() const { return n_; }
-  [[nodiscard]] std::size_t shards() const { return shards_; }
-
-  /// Breakdown of the last execute()/execute_host().
-  [[nodiscard]] const ShardedTiming& last_timing() const {
-    return last_timing_;
-  }
-
- private:
-  /// One full run over the device subset `members` (indices into the
-  /// group) with the resolved `layout` (always Slab — the split real
-  /// layout's per-plane tail rows make pencil Y-splitting not worth the
-  /// scatter); re-invoked on the survivors after a device loss.
-  ShardedTiming run_on(const std::vector<std::size_t>& members,
-                       const ShardLayout& layout, std::span<cxf> host_data);
-
-  sim::DeviceGroup* group_;
-  TuneConfig opt_;
-  std::size_t n_;
-  std::size_t shards_;
-  Shape3 slab_shape_;         ///< logical real slab (n, n, n/shards)
-  /// Forward only: one registry real slab plan per device.
-  std::vector<std::shared_ptr<FftPlan>> slab_plans_;
-  /// Inverse only: per-device c2r twiddle tables (n/2 stages, n pack).
-  std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_half_;
-  std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_full_;
-  std::vector<cxf> host_work_;
-  sim::DeviceGroup::HostStagingLease staging_lease_;
   ShardedTiming last_timing_{};
 };
 

@@ -78,14 +78,19 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
   BatchStrategy strategy = BatchStrategy::Shard;
 
   try {
-    if (desc.kind == PlanKind::Sharded3D &&
-        desc.layout == gpufft::Layout::RealHalfSpectrum) {
-      // Real transforms: the sharded real plan, one volume at a time (its
-      // half-spectrum exchange has no pipelined variant).
-      auto plan = std::dynamic_pointer_cast<gpufft::ShardedRealFft3DPlan>(
+    const auto sharded_plan = [&] {
+      auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
           reg.get_or_create(desc));
       REPRO_CHECK(plan != nullptr);
       plan->set_exec_policy(cfg_.exec);
+      return plan;
+    };
+    if (desc.kind == PlanKind::Sharded3D &&
+        desc.layout == gpufft::Layout::RealHalfSpectrum) {
+      // Real transforms: one volume at a time. The sharded plan's
+      // pipelined batch also serves half-spectrum volumes, but the
+      // deal-vs-shard model the complex branch consults is complex-only.
+      auto plan = sharded_plan();
       for (const auto s : spans) {
         plan->execute(s);
         done.push_back(group_.elapsed_ms() - t0);
@@ -116,11 +121,7 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
         plan->set_exec_policy(cfg_.exec);
         done = plan->execute_batch(spans).volume_done_ms;
       } else {
-        auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
-            reg.get_or_create(desc));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        done = plan->execute_batch(spans, cfg_.mode).volume_done_ms;
+        done = sharded_plan()->execute_batch(spans, cfg_.mode).volume_done_ms;
       }
     } else {
       REPRO_FAIL(
@@ -161,14 +162,7 @@ void FftService::run_salvage(const std::vector<FftRequest>& batch,
     // data path), just later on the clock.
     std::copy(snapshot[i].begin(), snapshot[i].end(), batch[i].data.begin());
     try {
-      if (desc.kind == PlanKind::Sharded3D &&
-          desc.layout == gpufft::Layout::RealHalfSpectrum) {
-        auto plan = std::dynamic_pointer_cast<gpufft::ShardedRealFft3DPlan>(
-            reg.get_or_create(desc));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        plan->execute(batch[i].data);
-      } else if (desc.kind == PlanKind::Sharded3D) {
+      if (desc.kind == PlanKind::Sharded3D) {
         auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
             reg.get_or_create(desc));
         REPRO_CHECK(plan != nullptr);

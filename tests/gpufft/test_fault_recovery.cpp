@@ -132,12 +132,14 @@ TEST(FaultRecovery, ShardedRealTransientIsBitIdentical) {
   const auto input = random_complex<float>((n / 2 + 1) * n * n, 106);
 
   sim::DeviceGroup ref_group(2, sim::geforce_8800_gts());
-  ShardedRealFft3DPlan ref_plan(ref_group, n, shards, Direction::Forward);
+  ShardedFft3DPlan ref_plan(
+      ref_group, PlanDesc::sharded_real3d(n, shards, Direction::Forward));
   std::vector<cxf> ref = input;
   ref_plan.execute(std::span<cxf>(ref));
 
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
-  ShardedRealFft3DPlan plan(group, n, shards, Direction::Forward);
+  ShardedFft3DPlan plan(
+      group, PlanDesc::sharded_real3d(n, shards, Direction::Forward));
   group.faults(0).arm(FaultKind::TransferTransient, 4, 2);
   std::vector<cxf> data = input;
   plan.execute(std::span<cxf>(data));
@@ -288,12 +290,14 @@ TEST(FaultRecovery, ShardedRealDeviceLostFailsOver) {
   const auto input = random_complex<float>((n / 2 + 1) * n * n, 109);
 
   sim::DeviceGroup ref_group(2, sim::geforce_8800_gts());
-  ShardedRealFft3DPlan ref_plan(ref_group, n, shards, Direction::Inverse);
+  ShardedFft3DPlan ref_plan(
+      ref_group, PlanDesc::sharded_real3d(n, shards, Direction::Inverse));
   std::vector<cxf> ref = input;
   ref_plan.execute(std::span<cxf>(ref));
 
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
-  ShardedRealFft3DPlan plan(group, n, shards, Direction::Inverse);
+  ShardedFft3DPlan plan(
+      group, PlanDesc::sharded_real3d(n, shards, Direction::Inverse));
   group.faults(0).arm(FaultKind::DeviceLost, 40);
   std::vector<cxf> data = input;
   plan.execute(std::span<cxf>(data));

@@ -204,7 +204,8 @@ TEST(MixedStreamed, ShardedGuardsStayTyped) {
         << e.what();
   }
   try {
-    ShardedRealFft3DPlan plan(group, 100, 4, Direction::Forward);
+    ShardedFft3DPlan plan(
+        group, PlanDesc::sharded_real3d(100, 4, Direction::Forward));
     FAIL() << "real sharded plans still need pow2 extents";
   } catch (const std::exception& e) {
     EXPECT_NE(std::string(e.what()).find("complex"), std::string::npos)

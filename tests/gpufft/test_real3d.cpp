@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "fft/real.h"
@@ -13,6 +16,7 @@
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
 #include "sim/device_group.h"
+#include "sim/topology/peer_mesh.h"
 
 namespace repro::gpufft {
 namespace {
@@ -246,7 +250,7 @@ TEST(Real3D, RejectsUnsupportedXExtents) {
 std::vector<cxf> sharded_real_run(sim::DeviceGroup& group, std::size_t n,
                                   std::size_t shards, Direction dir,
                                   const std::vector<cxf>& padded) {
-  ShardedRealFft3DPlan plan(group, n, shards, dir);
+  ShardedFft3DPlan plan(group, PlanDesc::sharded_real3d(n, shards, dir));
   std::vector<cxf> data = padded;
   plan.execute(std::span<cxf>(data));
   return data;
@@ -303,8 +307,10 @@ TEST(ShardedReal, RoundTripIsIdentity) {
   auto data = pack_real_volume<float>(reals, shape);
 
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
-  ShardedRealFft3DPlan fwd(group, n, 4, Direction::Forward);
-  ShardedRealFft3DPlan inv(group, n, 4, Direction::Inverse);
+  ShardedFft3DPlan fwd(
+      group, PlanDesc::sharded_real3d(n, 4, Direction::Forward));
+  ShardedFft3DPlan inv(
+      group, PlanDesc::sharded_real3d(n, 4, Direction::Inverse));
   fwd.execute(std::span<cxf>(data));
   inv.execute(std::span<cxf>(data));
   const auto recovered = unpack_real_volume<float>(data, shape);
@@ -327,7 +333,8 @@ TEST(ShardedReal, ExchangeMovesHalfTheComplexBytes) {
   const auto ct = cplan.execute(std::span<cxf>(cdata));
 
   sim::DeviceGroup rgroup(2, sim::geforce_8800_gts());
-  ShardedRealFft3DPlan rplan(rgroup, n, shards, Direction::Forward);
+  ShardedFft3DPlan rplan(
+      rgroup, PlanDesc::sharded_real3d(n, shards, Direction::Forward));
   const auto rt = rplan.execute(std::span<cxf>(rdata));
 
   EXPECT_EQ(ct.exchange_bytes(), 2 * n * n * n * sizeof(cxf));
@@ -359,10 +366,58 @@ TEST(ShardedReal, RegistryFrontDoorAndGeometryChecks) {
   EXPECT_GT(plan->last_total_ms(), 0.0);
 
   // Geometry guards: the real X fine pass needs n >= 32.
-  EXPECT_THROW(ShardedRealFft3DPlan(group, 16, 4, Direction::Forward),
+  EXPECT_THROW(ShardedFft3DPlan(
+                   group, PlanDesc::sharded_real3d(16, 4, Direction::Forward)),
                Error);
-  EXPECT_THROW(ShardedRealFft3DPlan(group, 63, 4, Direction::Forward),
+  EXPECT_THROW(ShardedFft3DPlan(
+                   group, PlanDesc::sharded_real3d(63, 4, Direction::Forward)),
                Error);
+  // Half-spectrum plans run the slab decomposition only.
+  auto* sharded = dynamic_cast<ShardedFft3DPlan*>(plan.get());
+  ASSERT_NE(sharded, nullptr);
+  EXPECT_THROW(sharded->set_decomposition(Decomposition::Pencil), Error);
+}
+
+TEST(ShardedReal, PipelinedBatchMatchesPerVolumeExecutes) {
+  // The one sharded executor serves half-spectrum volumes through its
+  // pipelined batch too: three volumes must come out exactly as three
+  // execute() calls, host-staged on a tree and over peer legs on a mesh.
+  const std::size_t n = 32;
+  const Shape3 shape = cube(n);
+  for (const bool peer : {false, true}) {
+    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+      SCOPED_TRACE(std::string(peer ? "mesh " : "tree ") +
+                   (dir == Direction::Forward ? "fwd" : "inv"));
+      auto group =
+          peer ? std::make_unique<sim::DeviceGroup>(
+                     4, sim::geforce_8800_gts(),
+                     std::make_shared<sim::PeerMeshTopology>(4))
+               : std::make_unique<sim::DeviceGroup>(2, sim::geforce_8800_gts());
+      ShardedFft3DPlan plan(*group, PlanDesc::sharded_real3d(n, 4, dir));
+      std::vector<std::vector<cxf>> want;
+      for (const std::uint64_t seed : {51u, 52u, 53u}) {
+        want.push_back(pack_real_volume<float>(
+            random_reals(shape.volume(), seed), shape));
+      }
+      auto batch = want;
+      auto host_batch = want;
+      for (auto& v : want) plan.execute(std::span<cxf>(v));
+      EXPECT_EQ(plan.last_layout().exchange,
+                peer ? Exchange::Peer : Exchange::HostStaged);
+
+      std::vector<std::span<cxf>> volumes(batch.begin(), batch.end());
+      const auto t = plan.execute_batch(volumes, BatchMode::Pipelined);
+      ASSERT_EQ(t.volume_done_ms.size(), 3u);
+      // The FftPlan batch entry point runs the same pipelined schedule.
+      std::vector<std::span<cxf>> host_volumes(host_batch.begin(),
+                                               host_batch.end());
+      EXPECT_EQ(plan.execute_batch_host(host_volumes).size(), 7u);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(bit_identical(batch[i], want[i])) << "volume " << i;
+        EXPECT_TRUE(bit_identical(host_batch[i], want[i])) << "volume " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

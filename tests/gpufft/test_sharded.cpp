@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <string>
 
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -498,14 +500,14 @@ TEST(ShardedTopology, RealPlanRunsPeerExchangeBitIdentically) {
   for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
     // Reference: the host-staged tree fleet (the PR 3 behavior).
     sim::DeviceGroup tree(2, sim::geforce_8800_gts());
-    ShardedRealFft3DPlan ref_plan(tree, n, shards, dir);
+    ShardedFft3DPlan ref_plan(tree, PlanDesc::sharded_real3d(n, shards, dir));
     auto ref = padded;
     ref_plan.execute(std::span<cxf>(ref));
 
     for (const std::size_t devices : {2u, 4u}) {
       sim::DeviceGroup mesh(devices, sim::geforce_8800_gts(),
                             std::make_shared<sim::PeerMeshTopology>(devices));
-      ShardedRealFft3DPlan plan(mesh, n, shards, dir);
+      ShardedFft3DPlan plan(mesh, PlanDesc::sharded_real3d(n, shards, dir));
       auto got = padded;
       plan.execute(std::span<cxf>(got));
       EXPECT_TRUE(bit_identical(got, ref))
@@ -548,6 +550,173 @@ TEST(ShardedTopology, BatchPipelinesOverThePeerFabric) {
                                  std::span<cxf>(w2)};
   const auto ts = serial.execute_batch(wv, BatchMode::Serial);
   EXPECT_LE(t.makespan_ms, ts.makespan_ms * (1.0 + 1e-9));
+}
+
+// ---------------------------------------------------------------------
+// Golden schedules: the simulated timeline of one run, pinned exactly.
+// Output bits alone would not notice a reordered transfer or an extra
+// copy; these constants do. Every member of these symmetric fleets runs
+// the same schedule, so one row per case pins all of them. n = 64 and
+// shards = 4 unless a case says otherwise.
+// ---------------------------------------------------------------------
+
+/// One member's pinned schedule.
+struct MemberGolden {
+  /// h2d1, fft1, twiddle, d2h1, h2d2, fft2, d2h2 (ShardTiming order).
+  std::array<double, 7> buckets;
+  std::uint64_t exchange_bytes;
+  std::uint64_t h2d_bytes;
+  std::uint64_t d2h_bytes;
+  std::size_t launches;  ///< Device::history() entries
+};
+
+struct TimelineGolden {
+  double makespan_ms;
+  double barrier_ms;
+  MemberGolden member;
+};
+
+/// Run `plan` once from zeroed clocks and compare every pinned field.
+void expect_timeline(sim::DeviceGroup& group, ShardedFft3DPlan& plan,
+                     std::vector<cxf> data, const TimelineGolden& g) {
+  group.reset_clocks();
+  const ShardedTiming t = plan.execute(std::span<cxf>(data));
+  EXPECT_EQ(t.makespan_ms, g.makespan_ms);
+  EXPECT_EQ(t.barrier_ms, g.barrier_ms);
+  ASSERT_EQ(t.devices.size(), group.size());
+  for (std::size_t d = 0; d < group.size(); ++d) {
+    SCOPED_TRACE("device " + std::to_string(d));
+    const ShardTiming& b = t.devices[d];
+    const std::array<double, 7> got{b.h2d1_ms, b.fft1_ms, b.twiddle_ms,
+                                    b.d2h1_ms, b.h2d2_ms, b.fft2_ms,
+                                    b.d2h2_ms};
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], g.member.buckets[i]) << "bucket " << i;
+    }
+    EXPECT_EQ(b.exchange_bytes, g.member.exchange_bytes);
+    EXPECT_EQ(group.device(d).h2d_bytes(), g.member.h2d_bytes);
+    EXPECT_EQ(group.device(d).d2h_bytes(), g.member.d2h_bytes);
+    EXPECT_EQ(group.device(d).history().size(), g.member.launches);
+  }
+}
+
+constexpr std::size_t kTimelineN = 64;
+constexpr std::size_t kTimelineShards = 4;
+
+std::vector<cxf> timeline_complex_input() {
+  return random_complex<float>(kTimelineN * kTimelineN * kTimelineN, 1201);
+}
+
+std::vector<cxf> timeline_real_input() {
+  const Shape3 shape = cube(kTimelineN);
+  std::vector<float> reals(shape.volume());
+  SplitMix64 rng(1202);
+  for (auto& x : reals) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return pack_real_volume<float>(reals, shape);
+}
+
+std::shared_ptr<sim::PeerMeshTopology> mesh_of(std::size_t k) {
+  return std::make_shared<sim::PeerMeshTopology>(k);
+}
+
+TEST(ShardedTimeline, ComplexForwardOnTree) {
+  sim::DeviceGroup tree(2, sim::geforce_8800_gts());
+  ShardedFft3DPlan plan(tree, kTimelineN, kTimelineShards,
+                        Direction::Forward);
+  expect_timeline(
+      tree, plan, timeline_complex_input(),
+      {3.3885880053368846, 2.0543986404065158,
+       {{0.84126218809980802, 0.30089355382666161, 0.058683631677600476,
+         0.85355926680244465, 0.36126218809980809, 0.11936791002811596,
+         0.85355926680244465},
+        2097152, 2097152, 2097152, 20}});
+}
+
+TEST(ShardedTimeline, ComplexForwardOnMeshSlabAndPencil) {
+  // At n = 64, shards = 4 a pencil layout needs 2 * local_nz = 32
+  // members, so on four cards the pencil preference resolves to the
+  // same slab schedule.
+  const TimelineGolden slab{
+      2.959637143529013, 2.5179365213742764,
+      {{0.42063109404990401, 0.15042190602187505, 0.029344629803186365,
+        0.053374500468603536, 0.04857599999999998, 0.059685955014057969,
+        0.42677963340122199},
+       524288, 524288, 524288, 10}};
+  for (const Decomposition d : {Decomposition::Slab, Decomposition::Pencil}) {
+    SCOPED_TRACE(d == Decomposition::Slab ? "slab" : "pencil");
+    sim::DeviceGroup mesh(4, sim::geforce_8800_gts(), mesh_of(4));
+    ShardedFft3DPlan plan(mesh, kTimelineN, kTimelineShards,
+                          Direction::Forward);
+    plan.set_decomposition(d);
+    expect_timeline(mesh, plan, timeline_complex_input(), slab);
+    EXPECT_EQ(plan.last_layout().decomp, Decomposition::Slab);
+    EXPECT_EQ(plan.last_layout().exchange, Exchange::Peer);
+  }
+  // shards = 16 on eight cards runs a real pencil layout (y_blocks 2).
+  sim::DeviceGroup mesh(8, sim::geforce_8800_gts(), mesh_of(8));
+  ShardedFft3DPlan plan(mesh, kTimelineN, 16, Direction::Forward);
+  plan.set_decomposition(Decomposition::Pencil);
+  expect_timeline(
+      mesh, plan, timeline_complex_input(),
+      {3.6174914858855365, 3.2243351799628113,
+       {{0.210315547024952, 0.15346674784621975, 0.02974397750702899,
+         0.043535625117150881, 0.042335999999999992, 0.019766489222117829,
+         0.37338981670061089},
+        262144, 262144, 262144, 13}});
+  EXPECT_EQ(plan.last_layout().decomp, Decomposition::Pencil);
+}
+
+TEST(ShardedTimeline, RealForwardAndInverseOnTree) {
+  const TimelineGolden fwd{
+      5.1769240860615344, 3.1831099589445779,
+      {{1.383775815738963, 0.34912487868797443, 0.06009276757263303,
+        1.3901164969450099, 0.4237758157389635, 0.17992181443298971,
+        1.3901164969450099},
+       1081344, 1081344, 1081344, 38}};
+  const TimelineGolden inv{
+      5.2599175140462773, 3.1007742097971698,
+      {{1.383775815738963, 0.24676456140236966, 0.06009276757263303,
+        1.3901164969450099, 0.4237758157389635, 0.34525099156514227,
+        1.3901164969450099},
+       1081344, 1081472, 1081344, 44}};
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    SCOPED_TRACE(dir == Direction::Forward ? "forward" : "inverse");
+    sim::DeviceGroup tree(2, sim::geforce_8800_gts());
+    ShardedFft3DPlan plan(
+        tree, PlanDesc::sharded_real3d(kTimelineN, kTimelineShards, dir));
+    expect_timeline(tree, plan, timeline_real_input(),
+                    dir == Direction::Forward ? fwd : inv);
+  }
+}
+
+TEST(ShardedTimeline, RealForwardAndInverseOnMesh) {
+  // Phase 2 runs in place on the receive buffer. The earlier schedule
+  // first gathered each plane group into a slab with two local copies
+  // and ran the kernels there. Its values, where they differ: h2d2 =
+  // 0.070568907216494822 (receive legs plus gathers), fft2 =
+  // 0.089960907216494856 / 0.17262549578257114 and makespan =
+  // 4.511269136602718 / 4.4702072111775104 (forward / inverse).
+  const TimelineGolden fwd{
+      4.4339015489738518, 3.7163530736972263,
+      {{0.69188790786948151, 0.174344249964385, 0.030045883786316514,
+        0.063146226804123698, 0.060671999999999983, 0.090054883786316778,
+        0.69505824847250464},
+       270336, 270336, 270336, 19}};
+  const TimelineGolden inv{
+      4.330906609490536, 3.5926265597059421,
+      {{0.69188790786948151, 0.12338805332836815, 0.030045883786316514,
+        0.063146226804123698, 0.060671999999999983, 0.17390217057169954,
+        0.69505824847250464},
+       270336, 270464, 270336, 22}};
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    SCOPED_TRACE(dir == Direction::Forward ? "forward" : "inverse");
+    sim::DeviceGroup mesh(4, sim::geforce_8800_gts(), mesh_of(4));
+    ShardedFft3DPlan plan(
+        mesh, PlanDesc::sharded_real3d(kTimelineN, kTimelineShards, dir));
+    expect_timeline(mesh, plan, timeline_real_input(),
+                    dir == Direction::Forward ? fwd : inv);
+    EXPECT_EQ(plan.last_layout().exchange, Exchange::Peer);
+  }
 }
 
 }  // namespace
