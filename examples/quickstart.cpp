@@ -63,6 +63,8 @@ int main(int argc, char** argv) {
   std::cout << "registry: " << registry.size() << " plan(s), "
             << registry.hits() << " hit(s); cache: "
             << cache.twiddle_tables() << " twiddle table(s), "
-            << cache.workspace_pool_bytes() / 1024 << " KiB workspace\n";
+            << cache.workspace_pool_bytes() / 1024 << " KiB workspace; "
+            << "launch memo: " << dev.launch_memo_hits() << " hit(s), "
+            << dev.launch_memo_misses() << " miss(es)\n";
   return err < fft_error_bound<float>(shape.volume()) ? 0 : 1;
 }

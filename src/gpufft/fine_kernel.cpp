@@ -74,6 +74,17 @@ sim::LaunchConfig FineFftKernelT<T>::config() const {
 }
 
 template <typename T>
+void FineFftKernelT<T>::timing_key(std::vector<std::uint64_t>& key) const {
+  const FineKernelParams& p = params_;
+  key.insert(key.end(),
+             {in_.base_addr(), out_.base_addr(), p.n, p.count,
+              static_cast<std::uint64_t>(p.dir),
+              static_cast<std::uint64_t>(p.twiddles), p.grid_blocks,
+              p.threads_per_block, p.shmem_pad_words,
+              sim::key_addr(device_tw_), sizeof(T)});
+}
+
+template <typename T>
 void FineFftKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const std::size_t n = params_.n;
   const std::size_t tpt = n / 4;

@@ -45,6 +45,7 @@ class FineFftKernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
   /// Shared-memory bytes one transform group needs (n scalars + padding).
   [[nodiscard]] static std::size_t shmem_bytes_per_transform(

@@ -40,6 +40,12 @@ sim::LaunchConfig ZPencilFftKernel::config() const {
   return c;
 }
 
+void ZPencilFftKernel::timing_key(std::vector<std::uint64_t>& key) const {
+  key.insert(key.end(), {data_.base_addr(), offset_, slab_.nx, slab_.ny,
+                         slab_.nz, static_cast<std::uint64_t>(dir_), grid_,
+                         threads_});
+}
+
 void ZPencilFftKernel::run_block(sim::BlockCtx& ctx) {
   const std::size_t items = slab_.nx * slab_.ny;
   const int sign = fft::direction_sign(dir_);
@@ -84,6 +90,12 @@ sim::LaunchConfig SlabTwiddleKernel::config() const {
   c.total_flops = 6.0 * static_cast<double>(slab_.volume());
   c.fma_fraction = 0.5;
   return c;
+}
+
+void SlabTwiddleKernel::timing_key(std::vector<std::uint64_t>& key) const {
+  key.insert(key.end(), {data_.base_addr(), offset_, slab_.nx, slab_.ny,
+                         slab_.nz, roots_n_.size(), residue_, grid_,
+                         threads_});
 }
 
 void SlabTwiddleKernel::run_block(sim::BlockCtx& ctx) {

@@ -47,6 +47,7 @@ class ZPencilFftKernel final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
  private:
   DeviceBuffer<cxf>& data_;
@@ -69,6 +70,7 @@ class SlabTwiddleKernel final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
  private:
   DeviceBuffer<cxf>& data_;

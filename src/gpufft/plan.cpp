@@ -155,6 +155,11 @@ sim::LaunchConfig ScaleKernelT<T>::config() const {
 }
 
 template <typename T>
+void ScaleKernelT<T>::timing_key(std::vector<std::uint64_t>& key) const {
+  key.insert(key.end(), {data_.base_addr(), count_, grid_, sizeof(T)});
+}
+
+template <typename T>
 void ScaleKernelT<T>::run_block(sim::BlockCtx& ctx) {
   auto d = ctx.global(data_);
   ctx.threads([&](sim::ThreadCtx& t) {

@@ -107,6 +107,7 @@ class ScaleKernelT final : public sim::Kernel {
                unsigned grid_blocks);
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
  private:
   DeviceBuffer<cx<T>>& data_;

@@ -21,6 +21,19 @@ int rank_kernel_regs(TwiddleSource tw, std::size_t factor, bool fp64) {
   return fp64 ? 2 * regs : regs;
 }
 
+namespace {
+
+/// Key words the two rank kernels share (sim::Kernel::timing_key).
+void append_rank_key(std::vector<std::uint64_t>& key,
+                     const RankKernelParams& p) {
+  key.insert(key.end(), p.in_shape.extent.begin(), p.in_shape.extent.end());
+  key.insert(key.end(), {static_cast<std::uint64_t>(p.dir),
+                         static_cast<std::uint64_t>(p.twiddles),
+                         p.grid_blocks, p.threads_per_block, p.elem_offset});
+}
+
+}  // namespace
+
 template <typename T>
 Rank1KernelT<T>::Rank1KernelT(DeviceBuffer<cx<T>>& in,
                               DeviceBuffer<cx<T>>& out,
@@ -75,6 +88,13 @@ sim::LaunchConfig Rank1KernelT<T>::config() const {
       (static_cast<double>(items) /
        (static_cast<double>(c.grid_blocks) * c.threads_per_block));
   return c;
+}
+
+template <typename T>
+void Rank1KernelT<T>::timing_key(std::vector<std::uint64_t>& key) const {
+  append_rank_key(key, params_);
+  key.insert(key.end(), {in_.base_addr(), out_.base_addr(), n_,
+                         sim::key_addr(device_tw_), sizeof(T)});
 }
 
 template <typename T>
@@ -180,6 +200,12 @@ sim::LaunchConfig Rank2KernelT<T>::config() const {
       (static_cast<double>(items) /
        (static_cast<double>(c.grid_blocks) * c.threads_per_block));
   return c;
+}
+
+template <typename T>
+void Rank2KernelT<T>::timing_key(std::vector<std::uint64_t>& key) const {
+  append_rank_key(key, params_);
+  key.insert(key.end(), {in_.base_addr(), out_.base_addr(), sizeof(T)});
 }
 
 template <typename T>
@@ -331,6 +357,14 @@ sim::LaunchConfig MixedAxisKernelT<T>::config() const {
   c.extra_cycles_per_thread = iters * static_cast<double>(n_stages) *
                               static_cast<double>(tables_.line_elems()) * 4.0;
   return c;
+}
+
+template <typename T>
+void MixedAxisKernelT<T>::timing_key(std::vector<std::uint64_t>& key) const {
+  key.insert(key.end(),
+             {data_.base_addr(), shape_.nx, shape_.ny, shape_.nz, pitch_,
+              static_cast<std::uint64_t>(axis_), tables_.n, tables_.conv_n,
+              static_cast<std::uint64_t>(dir_), grid_, tpb_, sizeof(T)});
 }
 
 template <typename T>

@@ -58,6 +58,7 @@ class Rank1KernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
   /// Output view shape: (nx, L, a, b, c).
   [[nodiscard]] Shape5 out_shape() const;
@@ -81,6 +82,7 @@ class Rank2KernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
   /// Output view shape: (nx, a, L, b, c).
   [[nodiscard]] Shape5 out_shape() const;
@@ -159,6 +161,7 @@ class MixedAxisKernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
   /// Lines this pass transforms (the axis' cross-section).
   [[nodiscard]] std::size_t lines() const { return lines_; }

@@ -62,6 +62,20 @@ sim::LaunchConfig real_fine_config(const RealFineParams& p, const char* tag,
   return c;
 }
 
+/// Key words shared by both kernels (sim::Kernel::timing_key).
+template <typename T>
+void append_real_fine_key(std::vector<std::uint64_t>& key,
+                          const DeviceBuffer<cx<T>>& data,
+                          const RealFineParams& p,
+                          const DeviceBuffer<cx<T>>* tw_half,
+                          const DeviceBuffer<cx<T>>* tw_full) {
+  key.insert(key.end(),
+             {data.base_addr(), p.elem_offset, p.nx, p.count,
+              static_cast<std::uint64_t>(p.twiddles), p.grid_blocks,
+              p.threads_per_block, p.shmem_pad_words, sim::key_addr(tw_half),
+              sim::key_addr(tw_full), sizeof(T)});
+}
+
 }  // namespace
 
 template <typename T>
@@ -135,6 +149,16 @@ auto make_twiddle(TwiddleSource src, std::size_t len,
 }
 
 }  // namespace
+
+template <typename T>
+void RealFineR2CKernelT<T>::timing_key(std::vector<std::uint64_t>& key) const {
+  append_real_fine_key(key, data_, params_, device_tw_half_, device_tw_full_);
+}
+
+template <typename T>
+void RealFineC2RKernelT<T>::timing_key(std::vector<std::uint64_t>& key) const {
+  append_real_fine_key(key, data_, params_, device_tw_half_, device_tw_full_);
+}
 
 template <typename T>
 void RealFineR2CKernelT<T>::run_block(sim::BlockCtx& ctx) {

@@ -51,6 +51,7 @@ class RealFineR2CKernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
   /// Shared bytes one transform group needs: two natural-order scalar
   /// arrays of nx/2+1 (padded) — exchange reuses the first.
@@ -78,6 +79,7 @@ class RealFineC2RKernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
+  void timing_key(std::vector<std::uint64_t>& key) const override;
 
   [[nodiscard]] static std::size_t shmem_bytes_per_transform(
       std::size_t nx, std::size_t pad_words = kDefaultShmemPadWords);

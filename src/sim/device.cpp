@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <exception>
+#include <string_view>
+#include <type_traits>
+#include <typeinfo>
 #include <utility>
 
 namespace repro::sim {
@@ -119,13 +122,18 @@ LaunchResult Device::launch(Kernel& kernel) {
     return LaunchResult{};
   }
 
+  std::string key = launch_memo_key(kernel, cfg);
+  const auto memo = key.empty() ? launch_memo_.end() : launch_memo_.find(key);
+  const bool hit = memo != launch_memo_.end();
+
   LaunchStats stats;
   stats.total_threads =
       static_cast<std::uint64_t>(cfg.grid_blocks) * cfg.threads_per_block;
 
   const unsigned warps_per_block = (cfg.threads_per_block + 31) / 32;
   const unsigned sampled_blocks =
-      std::min<unsigned>(cfg.grid_blocks, options_.max_sampled_blocks);
+      hit ? 0
+          : std::min<unsigned>(cfg.grid_blocks, options_.max_sampled_blocks);
   stats.warp_streams.resize(static_cast<std::size_t>(sampled_blocks) *
                             warps_per_block);
   const auto tex_lines = static_cast<std::size_t>(
@@ -151,11 +159,61 @@ LaunchResult Device::launch(Kernel& kernel) {
     corrupt_target.corrupt(corrupt_target.ptr);
   }
 
-  LaunchResult result = estimate_launch(spec_, cfg, stats);
+  LaunchResult result;
+  if (hit) {
+    result = memo->second;
+    ++launch_memo_hits_;
+  } else {
+    result = estimate_launch(spec_, cfg, stats);
+    ++launch_memo_misses_;
+    if (!key.empty()) {
+      if (launch_memo_.size() >= kLaunchMemoCapacity) launch_memo_.clear();
+      launch_memo_.emplace(std::move(key), result);
+    }
+  }
   schedule(active_stream_, Engine::Compute, result.total_ms * 1e6,
            cfg.name);
   history_.push_back(result);
   return result;
+}
+
+namespace {
+
+template <typename V>
+void append_bytes(std::string& key, const V& v) {
+  static_assert(std::is_trivially_copyable_v<V>);
+  key.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void append_string(std::string& key, std::string_view s) {
+  append_bytes(key, s.size());
+  key.append(s);
+}
+
+}  // namespace
+
+std::string Device::launch_memo_key(const Kernel& kernel,
+                                    const LaunchConfig& cfg) const {
+  std::vector<std::uint64_t> words;
+  kernel.timing_key(words);
+  if (words.empty()) return {};
+  std::string key;
+  append_string(key, typeid(kernel).name());
+  append_string(key, cfg.name);
+  append_bytes(key, cfg.grid_blocks);
+  append_bytes(key, cfg.threads_per_block);
+  append_bytes(key, cfg.regs_per_thread);
+  append_bytes(key, cfg.shmem_per_block);
+  append_bytes(key, cfg.total_flops);
+  append_bytes(key, cfg.fma_fraction);
+  append_bytes(key, cfg.extra_cycles_per_thread);
+  append_bytes(key, cfg.fp64);
+  append_bytes(key, options_.sample_accesses_per_thread);
+  append_bytes(key, options_.max_sampled_blocks);
+  append_bytes(key, options_.shmem_banks);
+  key.append(reinterpret_cast<const char*>(words.data()),
+             words.size() * sizeof(std::uint64_t));
+  return key;
 }
 
 double Device::submit_timed(Stream& stream, Engine engine, double ms,

@@ -188,7 +188,35 @@ class Device {
   /// Run a kernel: functional execution of every block + timing estimate.
   /// The launch occupies the compute engine on the active stream (default:
   /// the serial queue) and is appended to the launch history.
+  ///
+  /// Timing is data-value independent, so the device memoizes it: a
+  /// launch whose exact key (kernel type, every LaunchConfig and
+  /// SimOptions field, Kernel::timing_key words) matches an earlier one
+  /// still runs every block functionally, with recording off, and reuses
+  /// the cached LaunchResult instead of re-recording and re-running the
+  /// timing model. Fault draws, outputs, the schedule and the history are
+  /// exactly those of an unmemoized launch.
   LaunchResult launch(Kernel& kernel);
+
+  /// Entries the launch memo holds at most; it is cleared when full (the
+  /// bump allocator never reuses addresses, so keys of freed buffers are
+  /// dead weight in a long-lived service).
+  static constexpr std::size_t kLaunchMemoCapacity = 4096;
+  /// Launches whose timing came from the memo, and launches that recorded
+  /// and ran the timing model (memo-ineligible kernels included): their
+  /// sum is every launch that ran. Device-lifetime counters, like
+  /// alloc_count(); NOT cleared by reset_clock() — the memo is not
+  /// timeline state.
+  [[nodiscard]] std::uint64_t launch_memo_hits() const {
+    return launch_memo_hits_;
+  }
+  [[nodiscard]] std::uint64_t launch_memo_misses() const {
+    return launch_memo_misses_;
+  }
+  /// Entries currently memoized (<= kLaunchMemoCapacity).
+  [[nodiscard]] std::size_t launch_memo_entries() const {
+    return launch_memo_.size();
+  }
 
   /// Enqueue the launch on `stream` instead of the serial queue.
   LaunchResult launch_async(Kernel& kernel, Stream& stream) {
@@ -292,6 +320,9 @@ class Device {
                   std::string name);
   void record_transfer(TransferDir dir, std::uint64_t bytes);
   [[nodiscard]] double& engine_free_ns(Engine e);
+  /// Exact launch-memo key; empty when the kernel opts out.
+  [[nodiscard]] std::string launch_memo_key(const Kernel& kernel,
+                                            const LaunchConfig& cfg) const;
 
   // Fault hooks — only reached when faults_ != nullptr.
   void check_stream_ok() const;  ///< fail fast on a poisoned stream
@@ -312,6 +343,10 @@ class Device {
   std::size_t peak_allocated_bytes_ = 0;
   std::uint64_t alloc_count_ = 0;
   std::vector<LaunchResult> history_;
+  // Full keys, not hashes, so two distinct launches can never collide.
+  std::unordered_map<std::string, LaunchResult> launch_memo_;
+  std::uint64_t launch_memo_hits_ = 0;
+  std::uint64_t launch_memo_misses_ = 0;
   // Engine FIFOs: when each engine finishes its queued work.
   double compute_free_ns_ = 0.0;
   double dma_free_ns_[2] = {0.0, 0.0};

@@ -356,7 +356,26 @@ class Kernel {
   virtual ~Kernel() = default;
   [[nodiscard]] virtual LaunchConfig config() const = 0;
   virtual void run_block(BlockCtx& ctx) = 0;
+
+  /// Launch-memo key (see Device::launch): append every value the
+  /// launch's recorded accesses depend on — the device base_addr() and
+  /// element offset of every buffer the kernel views, texture twiddle
+  /// tables included (DRAM channel/bank and texture-cache sets follow
+  /// absolute addresses), and every shape, pitch, stride, count, axis,
+  /// residue, direction, twiddle source, shared pad, grid and block size
+  /// and sizeof(T). Never data values or host table pointers: ConstView
+  /// cost depends only on the distinct indices per slot. The default
+  /// appends nothing, and an empty key is never memoized — keep it for any
+  /// kernel whose view addresses or view-reaching branches depend on data.
+  virtual void timing_key(std::vector<std::uint64_t>& /*key*/) const {}
 };
+
+/// Base address of an optional texture table for Kernel::timing_key
+/// (0 when the kernel has none).
+template <typename T>
+std::uint64_t key_addr(const DeviceBuffer<T>* table) {
+  return table != nullptr ? table->base_addr() : 0;
+}
 
 // ---- inline view implementations ----
 
