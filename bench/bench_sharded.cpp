@@ -4,9 +4,7 @@
 // honestly: each card keeps its own PCIe link, but the links share one
 // host bridge (12.8 GB/s per direction), so past two cards the all-to-all
 // exchange — host-staged, as the 2008 cards have no peer-to-peer — becomes
-// the bound and efficiency falls. The "model" column is the closed-form
-// pipeline model (sharded_model_ms) the scheduler is cross-checked
-// against, the bench_async_overlap pattern; "err" must stay within 5%.
+// the bound and efficiency falls.
 #include "bench_util.h"
 #include "gpufft/sharded.h"
 
@@ -30,27 +28,20 @@ int main(int argc, char** argv) {
     std::cout << spec.name << " (" << spec.dma_engines
               << " DMA engine(s) per card)\n";
     TextTable t;
-    t.header({"devices", "makespan ms", "model ms", "err", "speedup",
-              "efficiency", "exchange MB", "exch frac", "max busy ms",
-              "in-flight MB"});
+    t.header({"devices", "makespan ms", "speedup", "efficiency",
+              "exchange MB", "exch frac", "max busy ms", "in-flight MB"});
     double base_ms = 0.0;
     for (const std::size_t nd : devices) {
       sim::DeviceGroup group(nd, spec);
       gpufft::ShardedFft3DPlan plan(group, n, shards,
                                     gpufft::Direction::Forward);
       const auto timing = plan.execute(std::span<cxf>(volume));
-      const auto phases = gpufft::probe_shard_phases(
-          group.device(0).spec(), n, shards, gpufft::Direction::Forward);
-      const double model = gpufft::sharded_model_ms(
-          phases, group.device(0).spec(), n, shards, nd);
-      const double err = 100.0 * (timing.makespan_ms / model - 1.0);
       if (nd == devices.front()) base_ms = timing.makespan_ms;
       const double speedup = base_ms / timing.makespan_ms;
       const double efficiency =
           speedup / (static_cast<double>(nd) /
                      static_cast<double>(devices.front()));
       t.row({std::to_string(nd), TextTable::fmt(timing.makespan_ms, 1),
-             TextTable::fmt(model, 1), TextTable::fmt(err, 2) + "%",
              TextTable::fmt(speedup, 2) + "x",
              TextTable::fmt(100.0 * efficiency, 0) + "%",
              TextTable::fmt(timing.exchange_bytes() / 1048576.0, 0),
@@ -61,7 +52,6 @@ int main(int argc, char** argv) {
                           std::to_string(nd),
                       timing.makespan_ms,
                       {{"speedup", speedup},
-                       {"model_err_pct", err},
                        {"exchange_frac", timing.exchange_fraction()}}});
     }
     t.print(std::cout);
@@ -87,13 +77,11 @@ int main(int argc, char** argv) {
     sim::DeviceGroup group(nd, spec);
     gpufft::ShardedFft3DPlan plan(group, n, shards,
                                   gpufft::Direction::Forward);
-    const auto phases = gpufft::probe_shard_phases(
-        group.device(0).spec(), n, shards, gpufft::Direction::Forward);
     std::cout << spec.name << " x" << nd << " batched volumes ("
               << spec.dma_engines << " DMA engine(s) per card)\n";
     TextTable t;
-    t.header({"batch", "serial ms", "pipelined ms", "gain", "model ms",
-              "err", "vol/s", "exch occ", "comp occ"});
+    t.header({"batch", "serial ms", "pipelined ms", "gain", "vol/s",
+              "exch occ", "comp occ"});
     for (const std::size_t b : batches) {
       std::vector<std::vector<cxf>> volumes(b,
                                             std::vector<cxf>(n * n * n));
@@ -103,14 +91,9 @@ int main(int argc, char** argv) {
       const auto piped =
           plan.execute_batch(spans, gpufft::BatchMode::Pipelined);
       const double gain = serial.makespan_ms / piped.makespan_ms;
-      const double model = gpufft::sharded_batch_model_ms(
-          phases, group.device(0).spec(), n, shards, nd, b,
-          gpufft::BatchMode::Pipelined);
-      const double err = 100.0 * (piped.makespan_ms / model - 1.0);
       t.row({std::to_string(b), TextTable::fmt(serial.makespan_ms, 1),
              TextTable::fmt(piped.makespan_ms, 1),
-             TextTable::fmt(gain, 2) + "x", TextTable::fmt(model, 1),
-             TextTable::fmt(err, 2) + "%",
+             TextTable::fmt(gain, 2) + "x",
              TextTable::fmt(piped.volumes_per_sec(), 0),
              TextTable::fmt(100.0 * piped.exchange_occupancy(), 0) + "%",
              TextTable::fmt(100.0 * piped.compute_occupancy(), 0) + "%"});
@@ -119,8 +102,7 @@ int main(int argc, char** argv) {
                           std::to_string(b),
                       piped.makespan_ms,
                       {{"pipeline_gain", gain},
-                       {"volumes_per_sec", piped.volumes_per_sec()},
-                       {"model_err_pct", err}}});
+                       {"volumes_per_sec", piped.volumes_per_sec()}}});
     }
     t.print(std::cout);
     std::cout << "\n";
@@ -141,12 +123,10 @@ int main(int argc, char** argv) {
          "at aggregate/N beyond two cards, and the phase boundary makes "
          "every card wait for the slowest phase-1 chain. Two cards nearly "
          "halve the makespan (each still has its full link); four are "
-         "already bridge-bound. The closed-form model tracks the "
-         "scheduler within the 5% acceptance band — exactly (<0.1%) on "
-         "1-DMA cards, where the single copy engine serializes each "
-         "chain. The batch table shows where pipelining pays: 1-DMA "
-         "cards gain nothing (the copy engine FIFO queues the next "
-         "volume's upload behind the previous download), while 2-DMA "
+         "already bridge-bound. The batch table shows where pipelining "
+         "pays (its issue order is priced on the group's timing twin): "
+         "1-DMA cards gain nothing (the copy engine FIFO queues the "
+         "next volume's upload behind the previous download), while 2-DMA "
          "GT200 fleets overlap the exchange with the next volume's "
          "phase 1 for >=1.2x at batch 4.\n";
   return bench::run_benchmarks(argc, argv);

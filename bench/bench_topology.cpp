@@ -15,9 +15,8 @@
 //     forwards through intermediate hops, so the planner keeps the
 //     coarser slab layout — the curve flattens where the mesh's pencil
 //     keeps climbing, exactly the bisection-ratio crossover.
-// "model" is topology_model_ms (the replayed schedule + bisection
-// floor); "err" must stay within 5% — that closed form is what
-// choose_decomposition trusts at plan time.
+// The layout column is choose_decomposition's call, priced by
+// dry-running both decompositions on the group's timing twin.
 #include <memory>
 
 #include "bench_util.h"
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
   const sim::GpuSpec card = sim::geforce_8800_gts();
 
   auto topo_for = [&](const std::string& kind,
-                      std::size_t nd) -> std::shared_ptr<sim::Topology> {
+                      std::size_t nd) -> std::shared_ptr<const sim::Topology> {
     if (kind == "pcie-tree") return std::make_shared<sim::PcieTreeTopology>(nd);
     if (kind == "peer-mesh") return std::make_shared<sim::PeerMeshTopology>(nd);
     return torus_for(nd);
@@ -67,8 +66,8 @@ int main(int argc, char** argv) {
 
   for (const std::string kind : {"pcie-tree", "peer-mesh", "torus2d"}) {
     TextTable t;
-    t.header({"devices", "layout", "members", "makespan ms", "model ms",
-              "err", "speedup", "bisection GB/s", "exchange MB"});
+    t.header({"devices", "layout", "members", "makespan ms", "speedup",
+              "bisection GB/s", "exchange MB"});
     double base_ms = 0.0;
     std::cout << kind << "\n";
     for (const std::size_t nd : counts) {
@@ -78,13 +77,6 @@ int main(int argc, char** argv) {
                                     gpufft::Direction::Forward);
       const auto timing = plan.execute(std::span<cxf>(volume));
       const gpufft::ShardLayout& lay = plan.last_layout();
-      // Probe on the member's (bridge-derated) spec, as the plan models.
-      const auto phases = gpufft::probe_shard_phases(
-          group.device(0).spec(), n, shards, gpufft::Direction::Forward);
-      const double model = gpufft::topology_model_ms(
-          phases, group.device(0).spec(), *topo, n, shards, nd, lay.decomp,
-          gpufft::Direction::Forward);
-      const double err = 100.0 * (timing.makespan_ms / model - 1.0);
       if (nd == counts.front()) base_ms = timing.makespan_ms;
       const double speedup = base_ms / timing.makespan_ms;
       const std::string layout =
@@ -95,14 +87,12 @@ int main(int argc, char** argv) {
           (lay.exchange == gpufft::Exchange::Peer ? "peer" : "host");
       t.row({std::to_string(nd), layout, std::to_string(lay.members),
              TextTable::fmt(timing.makespan_ms, 2),
-             TextTable::fmt(model, 2), TextTable::fmt(err, 2) + "%",
              TextTable::fmt(speedup, 2) + "x",
              TextTable::fmt(topo->bisection_gbs(), 1),
              TextTable::fmt(timing.exchange_bytes() / 1048576.0, 2)});
       bench::add_row({"topology/" + kind + "/devices:" + std::to_string(nd),
                       timing.makespan_ms,
                       {{"speedup", speedup},
-                       {"model_err_pct", err},
                        {"bisection_gbs", topo->bisection_gbs()}}});
     }
     t.print(std::cout);
@@ -165,8 +155,7 @@ int main(int argc, char** argv) {
          "The torus pays store-and-forward hops and only ~2*sqrt(N)*link "
          "of bisection, so the same planner keeps the coarser slab "
          "layout and its curve flattens below the mesh — the "
-         "slab-vs-pencil call and the crossover both come straight out "
-         "of topology_model_ms, which the err column pins to the "
-         "scheduler.\n";
+         "slab-vs-pencil call and the crossover both come from pricing "
+         "the real schedules on the scheduler itself.\n";
   return bench::run_benchmarks(argc, argv);
 }

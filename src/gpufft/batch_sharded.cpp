@@ -1,7 +1,6 @@
 #include "gpufft/batch_sharded.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/metrics.h"
@@ -166,57 +165,21 @@ std::vector<StepTiming> BatchShardedFft3DPlan::execute_batch_host(
   return steps;
 }
 
-double batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                      std::size_t n, std::size_t shards, std::size_t devices,
-                      std::size_t batch) {
-  REPRO_CHECK(devices > 0 && batch > 0);
-  const double per_volume = sharded_model_ms(p, spec, n, shards, 1);
-  const double rounds =
-      std::ceil(static_cast<double>(batch) / static_cast<double>(devices));
-  return rounds * per_volume;
-}
-
-BatchChoice choose_batch_strategy(const ShardPhases& p,
-                                  const sim::GpuSpec& spec, std::size_t n,
-                                  std::size_t shards, std::size_t devices,
-                                  std::size_t batch, BatchMode mode) {
+BatchChoice choose_batch_strategy(sim::DeviceGroup& group,
+                                  const PlanDesc& desc, std::size_t batch,
+                                  const ExecPolicy& policy) {
   BatchChoice c;
-  c.deal_ms = batch_model_ms(p, spec, n, shards, devices, batch);
-  // The sharded plan falls back to the largest member prefix dividing
-  // both phase extents; model the fleet it will actually use.
-  std::size_t usable = devices;
-  while (usable > 1 &&
-         (shards % usable != 0 || (n / shards) % usable != 0)) {
-    --usable;
-  }
-  c.shard_ms = sharded_batch_model_ms(p, spec, n, shards, usable, batch, mode);
-  c.strategy =
-      c.deal_ms <= c.shard_ms ? BatchStrategy::Deal : BatchStrategy::Shard;
-  return c;
-}
-
-BatchChoice choose_batch_strategy(const ShardPhases& p,
-                                  const sim::GpuSpec& spec,
-                                  const sim::Topology& topo, Direction dir,
-                                  std::size_t n, std::size_t shards,
-                                  std::size_t devices, std::size_t batch,
-                                  BatchMode mode) {
-  const ShardLayout lay =
-      shard_layout(topo, n, shards, devices, Decomposition::Pencil);
-  if (lay.exchange == Exchange::HostStaged) {
-    // No peer path: the host-staged models (including the exact
-    // pipelined replay) already describe this fabric.
-    return choose_batch_strategy(p, spec, n, shards, devices, batch, mode);
-  }
-  BatchChoice c;
-  c.deal_ms = batch_model_ms(p, spec, n, shards, devices, batch);
-  const Decomposition d =
-      choose_decomposition(topo, spec, n, shards, devices, dir);
-  // Back-to-back volumes: a serial upper bound on the pipelined
-  // schedule, so Shard only wins when it genuinely wins.
-  c.shard_ms =
-      static_cast<double>(batch) *
-      topology_model_ms(p, spec, topo, n, shards, devices, d, dir);
+  c.deal_ms = dry_run_ms(
+      group,
+      PlanDesc::batch_sharded3d(desc.shape.nx, desc.splits, desc.dir),
+      policy, batch, "deal",
+      [](FftPlan& plan, std::span<const std::span<cxf>> volumes) {
+        dynamic_cast<BatchShardedFft3DPlan&>(plan).execute_batch(volumes);
+      });
+  c.shard_ms = priced_issue_order(group, desc,
+                                  choose_decomposition(group, desc), batch,
+                                  policy)
+                   .ms;
   c.strategy =
       c.deal_ms <= c.shard_ms ? BatchStrategy::Deal : BatchStrategy::Shard;
   return c;

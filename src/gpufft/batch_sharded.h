@@ -1,26 +1,18 @@
 // Batch-level multi-GPU parallelism: whole volumes dealt to group members.
 //
-// ShardedFft3DPlan splits ONE volume across N cards and pays a host-staged
-// all-to-all through the shared PCIe bridge — the right trade when a single
-// volume's latency matters or the volume does not fit one card. But a batch
-// of independent volumes has an embarrassingly parallel alternative: deal
-// volume k to member k mod N and let each card run the single-device
-// out-of-core schedule end to end. No exchange, no phase barrier, no
-// bridge serialization beyond the concurrent slab streams — at the cost of
-// per-volume latency (one card per volume) and host staging (each member
-// plan keeps its own work volume).
-//
-// Which wins depends on (batch size, volume size, group): for B < N the
-// dealt schedule idles cards while sharding uses all of them; for B >= N
-// dealing saturates the fleet with zero exchange. batch_model_ms and
-// sharded_batch_model_ms are the closed-form sides of that comparison, and
-// choose_batch_strategy is the planner rule the FFT service applies per
-// request batch (cross-checked to a few percent by the batch tests).
+// ShardedFft3DPlan splits ONE volume across N cards and pays an
+// all-to-all exchange — the right trade when one volume's latency matters
+// or it does not fit one card. A batch of independent volumes can instead
+// be dealt: volume k to member k mod N, each card running the
+// single-device out-of-core schedule end to end, with no exchange and no
+// phase barrier, at the cost of per-volume latency and per-member host
+// staging. For B < N dealing idles cards; for B >= N it saturates the
+// fleet. choose_batch_strategy, the rule the FFT service applies per
+// request batch, prices both plans on the group's timing twin.
 //
 // Results are bit-identical to ShardedFft3DPlan of the same (n, shards,
 // dir): the dealt schedule per member IS the out-of-core schedule, and the
-// sharded plan's decimation arithmetic depends only on `shards` — the test
-// suite pins sharded == out-of-core == dealt.
+// sharded decimation arithmetic depends only on `shards`.
 #pragma once
 
 #include <cstddef>
@@ -100,15 +92,6 @@ class BatchShardedFft3DPlan final : public PlanBaseT<float> {
   std::vector<StepTiming> last_steps_;
 };
 
-/// Closed-form makespan of dealing `batch` volumes round-robin to
-/// `devices` members: the busiest member runs ceil(batch/devices)
-/// out-of-core volumes back-to-back, each at the single-card streamed
-/// model (sharded_model_ms with devices=1). Pass the group's
-/// bridge-derated spec and phases probed on it, as for sharded_model_ms.
-double batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                      std::size_t n, std::size_t shards, std::size_t devices,
-                      std::size_t batch);
-
 /// The deal-vs-shard decision for one batch.
 enum class BatchStrategy {
   Deal,   ///< whole volumes to members (BatchShardedFft3DPlan)
@@ -121,35 +104,18 @@ inline const char* batch_strategy_name(BatchStrategy s) {
 
 struct BatchChoice {
   BatchStrategy strategy{BatchStrategy::Deal};
-  double deal_ms{};   ///< batch_model_ms prediction
-  double shard_ms{};  ///< sharded_batch_model_ms prediction
+  double deal_ms{};   ///< priced BatchShardedFft3DPlan::execute_batch
+  double shard_ms{};  ///< priced ShardedFft3DPlan::execute_batch
 };
 
-/// Pick deal vs shard for `batch` volumes of n^3 on a homogeneous group
-/// of `devices` cards, from the closed-form models alone (no execution).
-/// `p` must be probed on the bridge-derated member spec. The sharded side
-/// uses the largest member prefix that divides both phase extents (the
-/// same fallback the sharded plan applies), and `mode` selects its serial
-/// or pipelined batch model.
-BatchChoice choose_batch_strategy(const ShardPhases& p,
-                                  const sim::GpuSpec& spec, std::size_t n,
-                                  std::size_t shards, std::size_t devices,
-                                  std::size_t batch,
-                                  BatchMode mode = BatchMode::Pipelined);
-
-/// Topology-aware variant: when the fabric resolves a peer layout, the
-/// shard side is modeled with topology_model_ms over the decomposition
-/// the planner would pick (slab or pencil, direct legs, bisection
-/// floor), as `batch` back-to-back volumes — an upper bound on the
-/// pipelined schedule, which can only overlap more, so a Shard verdict
-/// under it is safe. Host-staged fabrics delegate to the overload above
-/// (whose pipelined replay is exact). This is the rule the FFT service
-/// applies on peer-capable groups.
-BatchChoice choose_batch_strategy(const ShardPhases& p,
-                                  const sim::GpuSpec& spec,
-                                  const sim::Topology& topo, Direction dir,
-                                  std::size_t n, std::size_t shards,
-                                  std::size_t devices, std::size_t batch,
-                                  BatchMode mode = BatchMode::Pipelined);
+/// Pick deal vs shard for `batch` volumes of the Sharded3D `desc` on
+/// `group`'s schedulable members, run under `policy`. Both sides are
+/// priced (dry_run_ms) with the schedule that would run: the dealt batch,
+/// and the sharded batch with the decomposition choose_decomposition
+/// gives and the BatchMode execute_batch runs (Serial when `policy`
+/// verifies, else the priced issue order). Deal wins ties.
+BatchChoice choose_batch_strategy(sim::DeviceGroup& group,
+                                  const PlanDesc& desc, std::size_t batch,
+                                  const ExecPolicy& policy = {});
 
 }  // namespace repro::gpufft

@@ -142,7 +142,7 @@ class OutOfCoreFft3D final : public PlanBaseT<float> {
   std::size_t splits_;
   Shape3 slab_shape_;
   std::shared_ptr<FftPlan> slab_plan_;
-  std::vector<cxf> host_work_;
+  sim::LazyZeroVector<cxf> host_work_;
   OutOfCoreTiming last_timing_{};
 };
 

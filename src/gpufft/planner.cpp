@@ -1065,18 +1065,25 @@ bool parse_wisdom_line(const std::string& line, PlanDesc& desc,
   return true;
 }
 
-Decomposition choose_decomposition(const sim::Topology& topo,
-                                   const sim::GpuSpec& spec, std::size_t n,
-                                   std::size_t shards, std::size_t devices,
-                                   Direction dir) {
-  const ShardLayout pencil =
-      shard_layout(topo, n, shards, devices, Decomposition::Pencil);
-  if (pencil.decomp != Decomposition::Pencil) return Decomposition::Slab;
-  const ShardPhases p = probe_shard_phases(spec, n, shards, dir);
-  const double slab_ms = topology_model_ms(p, spec, topo, n, shards, devices,
-                                           Decomposition::Slab, dir);
-  const double pencil_ms = topology_model_ms(
-      p, spec, topo, n, shards, devices, Decomposition::Pencil, dir);
+Decomposition choose_decomposition(sim::DeviceGroup& group,
+                                   const PlanDesc& desc) {
+  // Non-pow2 extents keep the slab: its phase-2 unit is a whole slab the
+  // mixed-radix plan can transform, while the pencil phase-2 kernels keep
+  // their pow2-only X machinery. Half-spectrum planes carry a Nyquist
+  // tail row per Y row, which pencil Y-splitting would scatter.
+  const std::size_t n = desc.shape.nx;
+  const std::size_t shards =
+      desc.tune.slab_depth != 0 ? desc.tune.slab_depth : desc.splits;
+  if (desc.layout != Layout::Complex || !is_pow2(n) ||
+      shard_layout(group.topo(), n, shards, group.size(),
+                   Decomposition::Pencil)
+              .decomp != Decomposition::Pencil) {
+    return Decomposition::Slab;
+  }
+  const double slab_ms = priced_sharded_ms(group, desc, Decomposition::Slab,
+                                            1, BatchMode::Serial);
+  const double pencil_ms = priced_sharded_ms(
+      group, desc, Decomposition::Pencil, 1, BatchMode::Serial);
   return pencil_ms < slab_ms ? Decomposition::Pencil : Decomposition::Slab;
 }
 

@@ -125,15 +125,13 @@ std::string wisdom_line(const PlanDesc& desc, const TuneConfig& tune);
 bool parse_wisdom_line(const std::string& line, PlanDesc& desc,
                        TuneConfig& tune);
 
-/// The planner's slab-vs-pencil call for a sharded 3-D plan of `devices`
-/// cards on `topo`: both feasible decompositions are scored with
-/// topology_model_ms (whose exchange cost is keyed on the fabric's link
-/// model and bisection_gbs()) and the argmin wins. Fabrics where pencil
-/// cannot resolve (host-staged trees, too few devices) return Slab
-/// without probing.
-Decomposition choose_decomposition(const sim::Topology& topo,
-                                   const sim::GpuSpec& spec, std::size_t n,
-                                   std::size_t shards, std::size_t devices,
-                                   Direction dir);
+/// The planner's slab-vs-pencil call for ShardedFft3DPlan(group, desc):
+/// when pencil resolves on the whole group (shard_layout) both are priced
+/// as one execute() (priced_sharded_ms) and the cheaper wins, slab on
+/// ties.
+/// Trees, small fleets, half-spectrum and non-pow2 cubes get Slab
+/// without pricing.
+Decomposition choose_decomposition(sim::DeviceGroup& group,
+                                   const PlanDesc& desc);
 
 }  // namespace repro::gpufft

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/metrics.h"
@@ -300,19 +300,8 @@ ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group,
              : PlanDesc::dense3d(slab_shape_, desc.dir, Precision::F32),
         desc.tune));
   }
-  // Peer-capable fabrics get the planner's slab-vs-pencil call (keyed on
-  // bisection bandwidth via topology_model_ms); the tree has no choice
-  // to make, so its construction cost is unchanged. Non-pow2 extents
-  // always take the slab decomposition: its phase-2 unit is a whole slab
-  // that the mixed-radix plan can transform, while the pencil phase-2
-  // kernels keep their pow2-only X machinery. Half-spectrum planes carry
-  // a Nyquist tail row per Y row, which pencil Y-splitting would scatter,
-  // so real plans stay slab too.
-  if (!real && group.size() > 1 && group.topo().peer_capable() &&
-      is_pow2(n_)) {
-    decomp_ = choose_decomposition(group.topo(), group.device(0).spec(), n_,
-                                   shards_, group.size(), desc.dir);
-  }
+  // Plans built on a timing twin are the pricing; they never price.
+  if (!group.dry()) decomp_ = choose_decomposition(group, desc_);
 }
 
 void ShardedFft3DPlan::set_decomposition(Decomposition d) {
@@ -425,15 +414,6 @@ std::unique_ptr<ShardedFft3DPlan::VolumeCtx> ShardedFft3DPlan::make_ctx(
     }
   }
   return ctx;
-}
-
-void ShardedFft3DPlan::enqueue_volume(VolumeCtx& ctx,
-                                      std::span<cxf> host_data,
-                                      std::span<cxf> host_work,
-                                      double vol_start_ms,
-                                      ShardedTiming& timing) {
-  enqueue_phase1(ctx, host_data, host_work, timing);
-  enqueue_phase2(ctx, host_data, host_work, vol_start_ms, timing);
 }
 
 void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
@@ -737,7 +717,8 @@ ShardedTiming ShardedFft3DPlan::run_on(
   // Buckets stay indexed by group ordinal (stable reporting across
   // failovers); a lost card simply keeps zero rows.
   timing.devices.resize(group_->size());
-  enqueue_volume(*ctx, host_data, host_work_, start_ms, timing);
+  enqueue_phase1(*ctx, host_data, host_work_, timing);
+  enqueue_phase2(*ctx, host_data, host_work_, start_ms, timing);
   group_->sync_all();
   if (verify) {
     verify_phase2_regions(*group_, members, layout, codec_, shards_,
@@ -807,67 +788,6 @@ double ShardedBatchTiming::compute_occupancy() const {
              : 0.0;
 }
 
-namespace {
-
-/// Replay the pipelined batch schedule's queueing discipline on one
-/// representative card with closed-form phase times — no simulated
-/// device, just the same start-at-max(stream tail, engine free) rule the
-/// engine scheduler applies, in the same issue order. `lookahead` is the
-/// software-pipeline depth: 0 issues whole volumes back to back (two
-/// WAR-fenced contexts still overlap across the volume boundary), 1
-/// issues volume k+1's phase 1 before volume k's phase 2. Every member
-/// runs the same per-volume work, so one card's timeline is the group's.
-double replay_pipelined_ms(const ShardPhases& p, bool one_dma,
-                           std::size_t residues, std::size_t groups,
-                           std::size_t batch, std::size_t lookahead) {
-  double up_free = 0.0, dn_free = 0.0, comp_free = 0.0;
-  // kPipelineContexts contexts of two streams each, reused WAR-fenced
-  // as the scheduler does: tails[ctx][stream].
-  double tails[kPipelineContexts][2] = {};
-  double makespan = 0.0;
-  std::size_t p1 = 0, p2 = 0;
-  while (p2 < batch) {
-    if (p1 < batch && p1 <= p2 + lookahead) {
-      double* t = tails[p1 % kPipelineContexts];
-      // Reuse fence: both streams wait for the context's previous
-      // volume.
-      t[0] = t[1] = std::max(t[0], t[1]);
-      for (std::size_t j = 0; j < residues; ++j) {
-        double& s = t[j % 2];
-        s = std::max(s, up_free) + p.up1_ms;
-        up_free = s;
-        if (one_dma) dn_free = s;
-        s = std::max(s, comp_free) + p.fft1_ms + p.twiddle_ms;
-        comp_free = s;
-        s = std::max(s, dn_free) + p.dn1_ms;
-        dn_free = s;
-        if (one_dma) up_free = s;
-      }
-      ++p1;
-    } else {
-      double* t = tails[p2 % kPipelineContexts];
-      const double barrier = std::max(t[0], t[1]);
-      t[0] = t[1] = barrier;
-      for (std::size_t g = 0; g < groups; ++g) {
-        double& s = t[g % 2];
-        s = std::max(s, up_free) + p.up2_ms;
-        up_free = s;
-        if (one_dma) dn_free = s;
-        s = std::max(s, comp_free) + p.fft2_ms;
-        comp_free = s;
-        s = std::max(s, dn_free) + p.dn2_ms;
-        dn_free = s;
-        if (one_dma) up_free = s;
-      }
-      makespan = std::max({makespan, t[0], t[1]});
-      ++p2;
-    }
-  }
-  return makespan;
-}
-
-}  // namespace
-
 ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     std::span<const std::span<cxf>> volumes, BatchMode mode) {
   REPRO_CHECK(!volumes.empty());
@@ -881,179 +801,150 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     mode = BatchMode::Serial;
   }
   return with_plan_context(desc_, [&] {
+    if (mode == BatchMode::Pipelined) {
+      // The issue order IS the schedule (the engine FIFOs dispatch in
+      // submission order) and the best one depends on the phase balance,
+      // so every candidate is priced on the timing twin.
+      const std::size_t lookahead =
+          volumes.size() > 1 && !group_->dry()
+              ? priced_issue_order(*group_, desc_, decomp_, volumes.size(),
+                                   this->exec_policy())
+                    .lookahead
+              : 0;
+      return run_pipelined(volumes, lookahead);
+    }
+    // Full group drain between volumes (each volume
+    // carries its own failover via execute()).
     ShardedBatchTiming bt;
     bt.total.devices.resize(group_->size());
     const double t0 = group_->elapsed_ms();
-
-    if (mode == BatchMode::Serial) {
-      // PR 3 behavior: full group drain between volumes (each volume
-      // carries its own failover via execute()).
-      for (const auto& v : volumes) {
-        accumulate(bt.total, execute(v));
-        bt.volume_done_ms.push_back(group_->elapsed_ms() - t0);
-      }
-      bt.makespan_ms = group_->elapsed_ms() - t0;
-      bt.total.makespan_ms = bt.makespan_ms;
-      last_timing_ = bt.total;
-      last_total_ms_ = bt.makespan_ms;
-      return bt;
+    for (const auto& v : volumes) {
+      accumulate(bt.total, execute(v));
+      bt.volume_done_ms.push_back(group_->elapsed_ms() - t0);
     }
-
-    // ---- Pipelined: software-pipelined issue order over a rotation of
-    // kPipelineContexts contexts; volume k stages through staging slot
-    // k % kPipelineContexts. The engine FIFOs dispatch in submission
-    // order, so the issue order IS the schedule: issuing volume k+1's
-    // phase 1 before volume k's phase 2 lets the copy engines run k+1's
-    // uploads while k's exchange waits on its group-wide barrier, but it
-    // also queues k's exchange upload behind k+1's phase-1 transfers.
-    // How far ahead to run depends on the phase balance (exchange-heavy
-    // sizes want deep lookahead, phase-1-heavy sizes want none), so the
-    // depth comes from replaying every candidate order through the
-    // closed-form model below and taking the argmin. Functional effects
-    // apply at enqueue in program order
-    // and the interleaved stages touch disjoint buffers, so either
-    // order is bit-identical to the Serial schedule.
-    const std::size_t local_nz = n_ / shards_;
-    const auto resolve = [&](std::vector<std::size_t> alive) {
-      return resolve_shard(group_->topo(), group_, std::move(alive), n_,
-                           shards_, decomp_);
-    };
-    ResolvedShard shard = resolve(group_->schedulable_members());
-    REPRO_CHECK_MSG(!shard.members.empty(),
-                    "every device in the group has been lost");
-    // Peer exchanges stage on the cards (the per-ctx receive buffers), so
-    // the extra host staging volumes are only grown for host-staged runs
-    // — including a mid-batch failover that falls back to host staging.
-    const auto ensure_staging = [&] {
-      if (shard.layout.exchange == Exchange::HostStaged &&
-          host_work_extra_[0].empty()) {
-        for (std::size_t i = 0; i + 1 < kPipelineContexts; ++i) {
-          host_work_extra_[i].resize(buffer_elements());
-          staging_lease_extra_[i] = sim::DeviceGroup::HostStagingLease(
-              *group_, buffer_elements() * sizeof(cxf));
-        }
-      }
-    };
-    ensure_staging();
-    const bool armed = group_->any_faults_armed();
-    std::vector<cxf> snapshot;
-    std::array<std::unique_ptr<VolumeCtx>, kPipelineContexts> ctx;
-    std::array<ShardedTiming, kPipelineContexts> vt;
-    std::array<double, kPipelineContexts> vstart;
-    vstart.fill(t0);
-    const auto work = [&](std::size_t k) {
-      const std::size_t slot = k % kPipelineContexts;
-      return slot == 0 ? std::span<cxf>(host_work_)
-                       : std::span<cxf>(host_work_extra_[slot - 1]);
-    };
-    // The probe measures complex-layout phases; half-spectrum batches
-    // use it as a stand-in (it only picks the issue order, never the
-    // result bits).
-    if (!probe_phases_) {
-      probe_phases_ = probe_shard_phases(
-          group_->device(shard.members[0]).spec(), n_, shards_, desc_.dir);
-    }
-    const bool one_dma =
-        group_->device(shard.members[0]).spec().dma_engines == 1;
-    // The replay's phase extents follow the resolved layout: phase-1
-    // residues per owner, and one phase-2 unit per member on pencil.
-    const std::size_t rep_res = shards_ / shard.layout.phase1_members;
-    const std::size_t rep_grp =
-        shard.layout.decomp == Decomposition::Pencil
-            ? 1
-            : local_nz / shard.members.size();
-    std::size_t lookahead = 0;
-    {
-      // Issue order = argmin over the replayed candidates (lookahead L
-      // keeps at most L+1 contexts live, so L < kPipelineContexts).
-      double best = replay_pipelined_ms(*probe_phases_, one_dma, rep_res,
-                                        rep_grp, volumes.size(), 0);
-      for (std::size_t la = 1;
-           la < kPipelineContexts && la < volumes.size(); ++la) {
-        const double m = replay_pipelined_ms(*probe_phases_, one_dma,
-                                             rep_res, rep_grp,
-                                             volumes.size(), la);
-        if (m < best) {
-          best = m;
-          lookahead = la;
-        }
-      }
-    }
-    std::size_t p1 = 0;  // next volume to enter phase 1
-    std::size_t p2 = 0;  // next volume to enter phase 2
-    while (p2 < volumes.size()) {
-      // Phase 1 runs at most `lookahead` volumes ahead; each staging
-      // slot must survive until phase 2 of its volume has been issued.
-      const bool do_p1 = p1 < volumes.size() && p1 <= p2 + lookahead;
-      try {
-        if (!ctx[0]) {
-          for (auto& c : ctx) c = make_ctx(shard.members, shard.layout);
-        }
-        if (do_p1) {
-          const std::size_t slot = p1 % kPipelineContexts;
-          VolumeCtx& c = *ctx[slot];
-          // WAR fence: volume p1 - kPipelineContexts read this
-          // context's staging volume and slabs during its phase 2;
-          // those ops must retire before phase 1 overwrites them. Fresh
-          // contexts have zero tails, so the fence is a no-op on the
-          // first rotation.
-          c.fence(c.max_tail_ms());
-          vstart[slot] = std::max(t0, c.max_tail_ms());
-          vt[slot] = ShardedTiming{};
-          vt[slot].devices.resize(group_->size());
-          enqueue_phase1(c, volumes[p1], work(p1), vt[slot]);
-          ++p1;
-        } else {
-          const std::size_t slot = p2 % kPipelineContexts;
-          VolumeCtx& c = *ctx[slot];
-          // Phase 2 is the only stage that overwrites the caller's
-          // volume, so it is the only stage that can tear one mid-run.
-          if (armed) {
-            snapshot.assign(volumes[p2].begin(), volumes[p2].end());
-          }
-          enqueue_phase2(c, volumes[p2], work(p2), vstart[slot],
-                         vt[slot]);
-          accumulate(bt.total, vt[slot]);
-          bt.volume_done_ms.push_back(c.max_tail_ms() - t0);
-          ++p2;
-        }
-      } catch (const sim::DeviceLostError&) {
-        ResolvedShard next = resolve(group_->schedulable_members());
-        if (next.members.empty() || (!do_p1 && snapshot.empty())) throw;
-        ++recovery_counters().device_lost_failovers;
-        // The lost card's streams are dead; drop every context (RAII
-        // folds the surviving timelines) and rebuild on the survivors.
-        for (auto& c : ctx) c.reset();
-        const bool staged =
-            shard.layout.exchange == Exchange::HostStaged;
-        shard = std::move(next);
-        ensure_staging();
-        if (!do_p1) {
-          // Phase 2 may have torn volume p2 mid-overwrite; restore it.
-          std::copy(snapshot.begin(), snapshot.end(),
-                    volumes[p2].begin());
-        }
-        if (staged) {
-          // Host-staged: volume p2's staged planes in host_work are host
-          // memory fully written when its phase 1 was enqueued, so only
-          // phase 2 re-runs; a failed phase 1 only read its volume.
-        } else {
-          // Peer: phase-1 results lived in the dropped receive buffers,
-          // so every volume that has not finished phase 2 re-runs phase
-          // 1 too. Those volumes' host data is intact — phase 1 only
-          // reads it, and p2's overwrite was just restored.
-          p1 = p2;
-        }
-      }
-    }
-    for (auto& c : ctx) c.reset();
-    group_->sync_all();
     bt.makespan_ms = group_->elapsed_ms() - t0;
     bt.total.makespan_ms = bt.makespan_ms;
     last_timing_ = bt.total;
     last_total_ms_ = bt.makespan_ms;
     return bt;
   });
+}
+
+ShardedBatchTiming ShardedFft3DPlan::run_pipelined(
+    std::span<const std::span<cxf>> volumes, std::size_t lookahead) {
+  REPRO_CHECK(lookahead < kPipelineContexts);
+  ShardedBatchTiming bt;
+  bt.total.devices.resize(group_->size());
+  const double t0 = group_->elapsed_ms();
+  // A rotation of kPipelineContexts contexts; volume k stages through
+  // slot k % kPipelineContexts. Effects apply at enqueue in program order
+  // on disjoint buffers, so any order is bit-identical to Serial.
+  const auto resolve = [&](std::vector<std::size_t> alive) {
+    return resolve_shard(group_->topo(), group_, std::move(alive), n_,
+                         shards_, decomp_);
+  };
+  ResolvedShard shard = resolve(group_->schedulable_members());
+  REPRO_CHECK_MSG(!shard.members.empty(),
+                  "every device in the group has been lost");
+  // Peer exchanges stage on the cards (the per-ctx receive buffers), so
+  // the extra host staging volumes are only grown for host-staged runs
+  // — including a mid-batch failover that falls back to host staging.
+  const auto ensure_staging = [&] {
+    if (shard.layout.exchange == Exchange::HostStaged &&
+        host_work_extra_[0].empty()) {
+      for (std::size_t i = 0; i + 1 < kPipelineContexts; ++i) {
+        host_work_extra_[i].resize(buffer_elements());
+        staging_lease_extra_[i] = sim::DeviceGroup::HostStagingLease(
+            *group_, buffer_elements() * sizeof(cxf));
+      }
+    }
+  };
+  ensure_staging();
+  const bool armed = group_->any_faults_armed();
+  std::vector<cxf> snapshot;
+  std::array<std::unique_ptr<VolumeCtx>, kPipelineContexts> ctx;
+  std::array<ShardedTiming, kPipelineContexts> vt;
+  std::array<double, kPipelineContexts> vstart;
+  vstart.fill(t0);
+  const auto work = [&](std::size_t k) {
+    const std::size_t slot = k % kPipelineContexts;
+    return slot == 0 ? std::span<cxf>(host_work_)
+                     : std::span<cxf>(host_work_extra_[slot - 1]);
+  };
+  std::size_t p1 = 0;  // next volume to enter phase 1
+  std::size_t p2 = 0;  // next volume to enter phase 2
+  while (p2 < volumes.size()) {
+    // Phase 1 runs at most `lookahead` volumes ahead; each staging
+    // slot must survive until phase 2 of its volume has been issued.
+    const bool do_p1 = p1 < volumes.size() && p1 <= p2 + lookahead;
+    try {
+      if (!ctx[0]) {
+        for (auto& c : ctx) c = make_ctx(shard.members, shard.layout);
+      }
+      if (do_p1) {
+        const std::size_t slot = p1 % kPipelineContexts;
+        VolumeCtx& c = *ctx[slot];
+        // WAR fence: volume p1 - kPipelineContexts read this
+        // context's staging volume and slabs during its phase 2;
+        // those ops must retire before phase 1 overwrites them. Fresh
+        // contexts have zero tails, so the fence is a no-op on the
+        // first rotation.
+        c.fence(c.max_tail_ms());
+        vstart[slot] = std::max(t0, c.max_tail_ms());
+        vt[slot] = ShardedTiming{};
+        vt[slot].devices.resize(group_->size());
+        enqueue_phase1(c, volumes[p1], work(p1), vt[slot]);
+        ++p1;
+      } else {
+        const std::size_t slot = p2 % kPipelineContexts;
+        VolumeCtx& c = *ctx[slot];
+        // Phase 2 is the only stage that overwrites the caller's
+        // volume, so it is the only stage that can tear one mid-run.
+        if (armed) {
+          snapshot.assign(volumes[p2].begin(), volumes[p2].end());
+        }
+        enqueue_phase2(c, volumes[p2], work(p2), vstart[slot],
+                       vt[slot]);
+        accumulate(bt.total, vt[slot]);
+        bt.volume_done_ms.push_back(c.max_tail_ms() - t0);
+        ++p2;
+      }
+    } catch (const sim::DeviceLostError&) {
+      ResolvedShard next = resolve(group_->schedulable_members());
+      if (next.members.empty() || (!do_p1 && snapshot.empty())) throw;
+      ++recovery_counters().device_lost_failovers;
+      // The lost card's streams are dead; drop every context (RAII
+      // folds the surviving timelines) and rebuild on the survivors.
+      for (auto& c : ctx) c.reset();
+      const bool staged =
+          shard.layout.exchange == Exchange::HostStaged;
+      shard = std::move(next);
+      ensure_staging();
+      if (!do_p1) {
+        // Phase 2 may have torn volume p2 mid-overwrite; restore it.
+        std::copy(snapshot.begin(), snapshot.end(),
+                  volumes[p2].begin());
+      }
+      if (staged) {
+        // Host-staged: volume p2's staged planes in host_work are host
+        // memory fully written when its phase 1 was enqueued, so only
+        // phase 2 re-runs; a failed phase 1 only read its volume.
+      } else {
+        // Peer: phase-1 results lived in the dropped receive buffers,
+        // so every volume that has not finished phase 2 re-runs phase
+        // 1 too. Those volumes' host data is intact — phase 1 only
+        // reads it, and p2's overwrite was just restored.
+        p1 = p2;
+      }
+    }
+  }
+  for (auto& c : ctx) c.reset();
+  group_->sync_all();
+  bt.makespan_ms = group_->elapsed_ms() - t0;
+  bt.total.makespan_ms = bt.makespan_ms;
+  last_timing_ = bt.total;
+  last_total_ms_ = bt.makespan_ms;
+  return bt;
 }
 
 std::vector<StepTiming> ShardedFft3DPlan::execute_batch_host(
@@ -1073,270 +964,89 @@ ShardLayout shard_layout(const sim::Topology& topo, std::size_t n,
       .layout;
 }
 
-ShardPhases probe_shard_phases(const sim::GpuSpec& spec, std::size_t n,
-                               std::size_t shards, Direction dir) {
-  Device dev(spec);
-  const std::size_t plane = n * n;
-  const std::size_t local_nz = n / shards;
-  const Shape3 slab_shape{n, n, local_nz};
-  const unsigned grid = default_grid_blocks(spec);
-  const std::size_t slab_elems = plane * std::max(local_nz, shards);
-
-  auto slab = dev.alloc<cxf>(slab_elems);
-  std::vector<cxf> host(slab_elems);
-  // Build the slab plan (twiddle uploads etc.) before the stopwatch.
-  auto plan = PlanRegistry::of(dev).get_or_create(
-      PlanDesc::dense3d(slab_shape, dir, Precision::F32));
-
-  // Timing is data-value independent, so each phase is measured once,
-  // serially, with reset_clock deltas (the measure_offload pattern).
-  ShardPhases p;
-  dev.reset_clock();
-  for (std::size_t j = 0; j < local_nz; ++j) {
-    dev.h2d(slab, std::span<const cxf>(host).subspan(j * plane, plane),
-            j * plane);
-  }
-  p.up1_ms = dev.elapsed_ms();
-
-  dev.reset_clock();
-  plan->execute(slab);
-  p.fft1_ms = dev.elapsed_ms();
-
-  dev.reset_clock();
-  SlabTwiddleKernel tw(slab, slab_shape, n, 0, dir, grid);
-  dev.launch(tw);
-  p.twiddle_ms = dev.elapsed_ms();
-
-  dev.reset_clock();
-  for (std::size_t k = 0; k < local_nz; ++k) {
-    dev.d2h(std::span<cxf>(host).subspan(k * plane, plane), slab,
-            k * plane);
-  }
-  p.dn1_ms = dev.elapsed_ms();
-
-  dev.reset_clock();
-  dev.h2d(slab, std::span<const cxf>(host).subspan(0, shards * plane));
-  p.up2_ms = dev.elapsed_ms();
-
-  dev.reset_clock();
-  ZPencilFftKernel fft(slab, Shape3{n, n, shards}, dir, grid);
-  dev.launch(fft);
-  p.fft2_ms = dev.elapsed_ms();
-
-  dev.reset_clock();
-  for (std::size_t k2 = 0; k2 < shards; ++k2) {
-    dev.d2h(std::span<cxf>(host).subspan(k2 * plane, plane), slab,
-            k2 * plane);
-  }
-  p.dn2_ms = dev.elapsed_ms();
-  return p;
-}
-
-double sharded_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                        std::size_t n, std::size_t shards,
-                        std::size_t devices) {
-  const double residues = static_cast<double>(shards / devices);
-  const double groups = static_cast<double>((n / shards) / devices);
-  const double chain1 = p.up1_ms + p.fft1_ms + p.twiddle_ms + p.dn1_ms;
-  const double chain2 = p.up2_ms + p.fft2_ms + p.dn2_ms;
-  if (spec.dma_engines == 1) {
-    // The single copy engine's FIFO queues residue r+1's upload behind
-    // residue r's download, which stream order places after residue r's
-    // compute — every chain runs start-to-finish with no overlap.
-    return residues * chain1 + groups * chain2;
-  }
-  // Two copy engines: the double-buffered steady state is limited by the
-  // slowest engine, or by chain/2 when only two slabs bound the depth.
-  const double rate1 = std::max(
-      {p.up1_ms, p.fft1_ms + p.twiddle_ms, p.dn1_ms, chain1 / 2.0});
-  const double rate2 =
-      std::max({p.up2_ms, p.fft2_ms, p.dn2_ms, chain2 / 2.0});
-  return chain1 + (residues - 1.0) * rate1 + chain2 +
-         (groups - 1.0) * rate2;
-}
-
-double sharded_batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                              std::size_t n, std::size_t shards,
-                              std::size_t devices, std::size_t batch,
-                              BatchMode mode) {
-  const double m1 = sharded_model_ms(p, spec, n, shards, devices);
-  if (mode == BatchMode::Serial || batch <= 1) {
-    return static_cast<double>(batch) * m1;
-  }
-  // Every candidate issue order (phase-1 lookahead 0..contexts-1)
-  // replayed through the scheduler's queueing discipline; the scheduler
-  // picks its order from the same replays, so the minimum is what
-  // actually runs. The replay captures
-  // what a busiest-engine rate cannot: on a 1-DMA card the single copy
-  // engine's FIFO serializes every transfer so pipelining recovers only
-  // compute shadow, while on a 2-DMA card the lookahead order fills the
-  // barrier gap the exchange leaves on the upload engine.
-  const std::size_t residues = shards / devices;
-  const std::size_t groups = (n / shards) / devices;
-  const bool one_dma = spec.dma_engines == 1;
-  double best = replay_pipelined_ms(p, one_dma, residues, groups, batch, 0);
-  for (std::size_t la = 1; la < kPipelineContexts && la < batch; ++la) {
-    best = std::min(
-        best, replay_pipelined_ms(p, one_dma, residues, groups, batch, la));
-  }
-  return best;
-}
-
 namespace {
 
-/// Pencil-geometry phase-2 durations (the slab probe covers everything
-/// else): the (n, n/py, shards) pencil kernel and one ny*n-row download.
-struct PencilPhases {
-  double fft2_ms{}, dn2_ms{};
+/// Priced makespans of one live group, and the zero host volume the dry
+/// runs read (dry transfers never write it, so every view may alias it).
+struct PriceBook {
+  explicit PriceBook(sim::DeviceGroup& /*group*/) {}
+  std::unordered_map<std::string, double> ms;
+  sim::LazyZeroVector<cxf> zeros;
 };
-
-PencilPhases probe_pencil_phases(const sim::GpuSpec& spec, std::size_t n,
-                                 std::size_t py, std::size_t shards,
-                                 Direction dir) {
-  Device dev(spec);
-  const std::size_t ny = n / py;
-  auto buf = dev.alloc<cxf>(shards * ny * n);
-  std::vector<cxf> host(ny * n);
-  PencilPhases p;
-  dev.reset_clock();
-  ZPencilFftKernel fft(buf, Shape3{n, ny, shards}, dir,
-                       default_grid_blocks(spec));
-  dev.launch(fft);
-  p.fft2_ms = dev.elapsed_ms();
-  dev.reset_clock();
-  dev.d2h(std::span<cxf>(host), buf, 0);
-  p.dn2_ms = dev.elapsed_ms();
-  return p;
-}
 
 }  // namespace
 
-double topology_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                         const sim::Topology& topo, std::size_t n,
-                         std::size_t shards, std::size_t devices,
-                         Decomposition decomp, Direction dir) {
-  const ShardLayout lay = shard_layout(topo, n, shards, devices, decomp);
-  if (lay.exchange == Exchange::HostStaged) {
-    return sharded_model_ms(p, spec, n, shards, lay.members);
+double dry_run_ms(
+    sim::DeviceGroup& group, const PlanDesc& desc, const ExecPolicy& policy,
+    std::size_t batch, const std::string& schedule,
+    const std::function<void(FftPlan&, std::span<const std::span<cxf>>)>&
+        run) {
+  REPRO_CHECK_MSG(!group.dry(), "plans on a timing twin never price");
+  std::string key = desc.to_string();
+  for (const std::string& part :
+       {schedule, std::to_string(static_cast<int>(policy.verify)),
+        std::to_string(batch)}) {
+    key.append(" | ").append(part);
   }
-  const std::size_t local_nz = n / shards;
-  const std::size_t nm = lay.members;
-  const std::size_t nm1 = lay.phase1_members;
-  const std::size_t plane = n * n;
-  const std::size_t gpd =
-      lay.decomp == Decomposition::Slab ? local_nz / nm : 0;
-  const std::size_t py = lay.y_blocks;
-  const std::size_t ny = n / py;
-  const double up1p = p.up1_ms / static_cast<double>(local_nz);
-  const double dn2p = p.dn2_ms / static_cast<double>(shards);
+  for (const std::size_t m : group.schedulable_members()) {
+    key.append(" ").append(std::to_string(m));
+  }
+  PriceBook& book = group.local<PriceBook>();
+  if (const auto it = book.ms.find(key); it != book.ms.end()) {
+    return it->second;
+  }
+  sim::DeviceGroup& twin = group.timing_twin();
+  const std::shared_ptr<FftPlan> plan =
+      PlanRegistry::of(twin).get_or_create(desc);
+  plan->set_exec_policy(policy);
+  const std::size_t elems = plan->buffer_elements();
+  if (book.zeros.size() < elems) {
+    book.zeros = sim::LazyZeroVector<cxf>(elems);
+  }
+  const std::vector<std::span<cxf>> volumes(
+      batch, std::span<cxf>(book.zeros).first(elems));
+  twin.reset_clocks();
+  run(*plan, volumes);
+  return book.ms[key] = twin.elapsed_ms();
+}
 
-  // Deterministic replay of the exact enqueue order through the
-  // scheduler's start-at-max(stream tail, engine free, link free) rule:
-  // per-member double-buffered stream tails, one exchange-stream tail
-  // per ordinal (torus forwarders included), per-ordinal engine frees
-  // (1-DMA cards alias the two copy directions onto one engine, exactly
-  // as sim::Device maps them), and a private link-FIFO map.
-  const bool one_dma = spec.dma_engines == 1;
-  const std::size_t span = topo.size();
-  std::vector<std::array<double, 2>> tails(nm, {0.0, 0.0});
-  std::vector<double> ex(span, 0.0), comp(span, 0.0);
-  std::vector<double> up_free(span, 0.0), dn_free(span, 0.0);
-  std::map<std::pair<std::size_t, std::size_t>, double> link;
-  auto up_engine = [&](std::size_t d) -> double& { return up_free[d]; };
-  auto dn_engine = [&](std::size_t d) -> double& {
-    return one_dma ? up_free[d] : dn_free[d];
-  };
-  std::uint64_t fabric_bytes = 0;
-  auto send_payload = [&](std::size_t src, std::size_t dst, double& s,
-                          std::size_t bytes) {
-    fabric_bytes += bytes;
-    if (src == dst) {
-      double& eng = dn_engine(src);
-      const double start = std::max(s, eng);
-      s = start + sim::local_copy_ms(spec, bytes);
-      eng = s;
-      return;
-    }
-    const auto hops = topo.route(src, dst);
-    for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
-      const std::size_t a = hops[h];
-      const std::size_t b = hops[h + 1];
-      double& ss = h == 0 ? s : ex[a];
-      const double dur = topo.leg_ms(a, b, bytes);
-      double& lf = link[{a, b}];
-      const double start = std::max({ss, dn_engine(a), lf});
-      lf = start + dur;
-      ss = start + dur;
-      dn_engine(a) = start + dur;
-      const double r0 = std::max({ex[b], start, up_engine(b)});
-      ex[b] = r0 + dur;
-      up_engine(b) = r0 + dur;
-    }
-  };
-
-  // ---- Phase 1: per-plane uploads, lumped compute, ring sends ----
-  for (std::size_t residue = 0; residue < shards; ++residue) {
-    const std::size_t mi = residue % nm1;
-    double& s = tails[mi][(residue / nm1) % 2];
-    for (std::size_t j = 0; j < local_nz; ++j) {
-      double& eng = up_engine(mi);
-      s = std::max(s, eng) + up1p;
-      eng = s;
-    }
-    s = std::max(s, comp[mi]) + p.fft1_ms + p.twiddle_ms;
-    comp[mi] = s;
-    for (std::size_t r = 0; r < nm; ++r) {
-      const std::size_t emi = (mi + r) % nm;
-      if (lay.decomp == Decomposition::Slab) {
-        for (std::size_t gl = 0; gl < gpd; ++gl) {
-          send_payload(mi, emi, s, plane * sizeof(cxf));
+double priced_sharded_ms(sim::DeviceGroup& group, const PlanDesc& desc,
+                         Decomposition d, std::size_t batch, BatchMode mode,
+                         const ExecPolicy& policy, std::size_t lookahead) {
+  const bool serial =
+      mode == BatchMode::Serial || policy.verify != VerifyPolicy::Off;
+  std::string schedule = d == Decomposition::Pencil ? "pencil" : "slab";
+  schedule.append(" lookahead ")
+      .append(serial ? "serial" : std::to_string(lookahead));
+  return dry_run_ms(
+      group, desc, policy, batch, schedule,
+      [&](FftPlan& p, std::span<const std::span<cxf>> volumes) {
+        auto& plan = dynamic_cast<ShardedFft3DPlan&>(p);
+        plan.set_decomposition(d);
+        if (serial) {
+          plan.execute_batch(volumes, BatchMode::Serial);
+        } else {
+          plan.run_pipelined(volumes, lookahead);
         }
-      } else {
-        send_payload(mi, emi, s, ny * n * sizeof(cxf));
-      }
-    }
-  }
+      });
+}
 
-  // ---- Per-member receive fence, then slab or pencil phase 2 ----
-  PencilPhases pp;
-  if (lay.decomp == Decomposition::Pencil) {
-    pp = probe_pencil_phases(spec, n, py, shards, dir);
+IssueOrder priced_issue_order(sim::DeviceGroup& group, const PlanDesc& desc,
+                              Decomposition d, std::size_t batch,
+                              const ExecPolicy& policy) {
+  const std::size_t candidates = policy.verify != VerifyPolicy::Off
+                                     ? 1
+                                     : std::min(batch, kPipelineContexts);
+  const auto price = [&](std::size_t la) {
+    return priced_sharded_ms(group, desc, d, batch, BatchMode::Pipelined,
+                             policy, la);
+  };
+  IssueOrder best{0, price(0)};
+  for (std::size_t la = 1; la < candidates; ++la) {
+    const double ms = price(la);
+    if (ms < best.ms) best = {la, ms};
   }
-  double makespan = 0.0;
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    const double fence = std::max({tails[mi][0], tails[mi][1], ex[mi]});
-    tails[mi][0] = tails[mi][1] = fence;
-    if (lay.decomp == Decomposition::Slab) {
-      for (std::size_t gl = 0; gl < gpd; ++gl) {
-        double& s = tails[mi][gl % 2];
-        s = std::max(s, comp[mi]) + p.fft2_ms;
-        comp[mi] = s;
-        for (std::size_t k2 = 0; k2 < shards; ++k2) {
-          double& eng = dn_engine(mi);
-          s = std::max(s, eng) + dn2p;
-          eng = s;
-        }
-      }
-    } else {
-      double& s = tails[mi][0];
-      s = std::max(s, comp[mi]) + pp.fft2_ms;
-      comp[mi] = s;
-      for (std::size_t k2 = 0; k2 < shards; ++k2) {
-        double& eng = dn_engine(mi);
-        s = std::max(s, eng) + pp.dn2_ms;
-        eng = s;
-      }
-    }
-    makespan = std::max({makespan, tails[mi][0], tails[mi][1]});
-  }
-  for (std::size_t d = 0; d < span; ++d) {
-    makespan = std::max(makespan, ex[d]);
-  }
-  // Aggregate floor: half the fabric bytes must cross the worst even
-  // cut, whatever the schedule.
-  const double floor_ms = static_cast<double>(fabric_bytes) / 2.0 /
-                          (topo.bisection_gbs() * 1e6);
-  return std::max(makespan, floor_ms);
+  return best;
 }
 
 }  // namespace repro::gpufft

@@ -1,90 +1,55 @@
 // Multi-device 3-D FFT: the Section 3.3 Z-decimation sharded across a
 // sim::DeviceGroup.
 //
-// The out-of-core algorithm already splits an n^3 volume into `splits`
-// interleaved Z slabs that stream over PCIe — "one card, eight slabs"
-// generalizes directly to "N cards, splits/N slabs each". Device d runs
-// phase 1 (full X/Y FFT + partial-Z + inter-rank twiddle) for the residues
-// congruent to d mod N, then the volume is re-bucketed across cards for
-// phase 2's splits-point Z FFTs, device e taking a contiguous block of
-// plane groups:
+// The out-of-core algorithm splits an n^3 volume into `splits` interleaved
+// Z slabs that stream over PCIe; "one card, eight slabs" generalizes to
+// "N cards, splits/N slabs each":
 //
 //   Phase 1 (device d = I mod N, residue I):   as out-of-core steps 1A-1D
-//   all-to-all exchange:                        host-staged (see below)
+//   all-to-all exchange:                        host-staged or peer legs
 //   Phase 2 (device e, groups k' in e's block): as out-of-core steps 2A-2C
 //
-// Every phase-2 group gathers one plane from each phase-1 residue, i.e.
-// from every card — an all-to-all. How that all-to-all moves depends on
-// the group's interconnect (sim/topology/):
+// Every phase-2 group gathers one plane from each residue, i.e. from
+// every card. On a PCIe tree (the default; G8x cards had no peer path)
+// that all-to-all is host-staged: phase 1's downloads land in one host
+// work volume that phase 2's uploads read back, so the exchange IS the
+// d2h1/h2d2 traffic, behind one group-wide barrier. On peer fabrics
+// (mesh, torus) each residue's planes leave the producer as
+// DeviceGroup::d2d_async legs in ring order into per-member receive
+// buffers, phase 2 runs there in place, and each member starts when its
+// own receives (a per-member Event) and phase-1 tails are done. Peer
+// fabrics also allow the *pencil* decomposition: each member owns one
+// (plane group, Y block) unit, so N grows past min(shards, local_nz);
+// choose_decomposition (planner.h) prices slab against pencil.
 //
-//   * PCIe tree (the default; G8x cards had no peer path, as in 2008):
-//     host-staged — phase 1's downloads land in one host work volume and
-//     phase 2's uploads read it back, each leg costed through the owning
-//     card's (bridge-derated) PCIe model. No extra copies beyond what
-//     out-of-core already does: the exchange IS the d2h1/h2d2 traffic.
-//   * Peer fabrics (mesh, torus): direct — each residue's planes leave
-//     the producer over DeviceGroup::d2d_async in ring order (member
-//     mi sends to mi, mi+1, ... mod N), landing in a per-member receive
-//     buffer; on the torus each transfer store-and-forwards along its
-//     dimension-ordered route, occupying every intermediate hop's DMA
-//     engines and the per-link FIFOs. Phase 2 then runs in place on the
-//     receive buffer — no host staging, no global barrier; each member
-//     starts when its own receives (tracked by a per-member Event) and
-//     its own phase-1 tails are done.
-//
-// On peer fabrics the plan also supports a *pencil* decomposition
-// (Decomposition::Pencil): each member owns one (plane-group, Y-block)
-// unit, so N can grow to local_nz * (n / ny) instead of saturating at
-// min(shards, local_nz). The slab-vs-pencil choice is made by the
-// planner (choose_decomposition, planner.h) from topology_model_ms,
-// which is keyed on the topology's bisection_gbs(). Both decompositions
-// are bit-identical to the host reference: the phase-2 pencil kernel is
-// independent per (x, y) pencil, so splitting its slab along Y changes
-// nothing functionally.
-//
-// Per device the schedule is exactly the out-of-core one: two slab leases,
-// two streams, residues (and phase-2 groups) alternating between them, so
-// each card overlaps its own transfers and compute as its DMA engines
-// allow. The phase boundary is a group-wide fence at the maximum of all
-// stream tails (Stream::wait_until_ms; the members share one time
-// origin). A group of one therefore reproduces the single-device
-// OutOfCoreFft3D timeline *exactly* — the degenerate path is pinned by
-// test, and decimation arithmetic depends only on `shards`, so results are
-// bit-identical across any device count and any spec mix.
-//
-// Losing a card mid-run (sim/fault.h DeviceLost) is survivable: execute()
-// restores the input from a pre-run snapshot (taken only while faults are
-// armed — the fault-free path pays nothing), re-shards over the surviving
-// members, and reruns — falling back to fewer cards (ultimately one, the
-// out-of-core schedule) when the survivor count stops dividing the phase
-// extents. Results stay bit-identical because decimation arithmetic
-// depends only on `shards`, never on the member count.
+// Per device the schedule is the out-of-core one (two slab leases, two
+// streams), so a group of one reproduces the OutOfCoreFft3D timeline
+// exactly (pinned by test). Decimation arithmetic depends only on
+// `shards`, so results are bit-identical across device counts, spec
+// mixes, fabrics and decompositions, and across a DeviceLost: execute()
+// restores its input from a snapshot (taken only while faults are armed)
+// and re-shards over the survivors, down to one card.
 //
 // The same schedule serves r2c/c2r cubes over the split half-spectrum
-// layout (real3d.h), selected by the description's Layout: a PlaneCodec
-// describes a Z-plane as row regions — one n-wide region for Complex, an
-// (n/2)-wide main span plus its 1-wide Nyquist tail for RealHalfSpectrum
-// — and every staged transfer, kernel, peer leg and energy sum loops over
-// them. A half-spectrum plane is (n/2+1)*n elements, so the all-to-all
-// moves (n/2+1)/n (~half) of the complex exchange bytes. The forward real
-// phase 1 runs the registry-obtained real slab plan (fused r2c X fine +
-// coarse Y/local-Z ranks). The inverse cannot run its c2r fine pass in
-// phase 1 (the Z axis is still decimated), so phase 1 runs only the
-// coarse Y/local-Z ranks (run_real_coarse_slab) and phase 2 finishes with
-// the fused c2r kernel, which folds the full normalization — a true
-// inverse, like RealFft3DT. Half-spectrum plans always take the slab
-// decomposition.
+// layout (real3d.h): a PlaneCodec describes a Z-plane as row regions —
+// one n-wide region for Complex, an (n/2)-wide main span plus its 1-wide
+// Nyquist tail for RealHalfSpectrum — and every transfer, kernel, peer
+// leg and energy sum loops over them, so the exchange moves ~half the
+// complex bytes. Forward phase 1 runs the real slab plan; the inverse
+// runs only the coarse Y/local-Z ranks in phase 1 and ends phase 2 with
+// the fused c2r kernel (a true inverse). Real plans stay slab.
 //
-// probe_shard_phases/sharded_model_ms give the closed-form pipeline model
-// the bench cross-checks the scheduler against (the bench_async_overlap
-// pattern): serial chains on 1-DMA cards, depth-2 double-buffered rates on
-// 2-DMA cards.
+// Schedule decisions (slab vs pencil, the pipelined issue order, deal vs
+// shard) are priced by running this plan's own enqueue code on the
+// group's timing twin (DeviceGroup::timing_twin): the event scheduler is
+// the only timing model.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "gpufft/fft_plan.h"
@@ -126,8 +91,7 @@ struct ShardLayout {
 /// Resolve the layout `devices` cards would use on `topo` (all assumed
 /// alive) for the preferred decomposition; falls back to Slab (and to
 /// HostStaged) when the preference is infeasible. The plans apply the
-/// same rules against the live group, so this is also the model's
-/// geometry oracle.
+/// same rules against the live group.
 ShardLayout shard_layout(const sim::Topology& topo, std::size_t n,
                          std::size_t shards, std::size_t devices,
                          Decomposition preferred);
@@ -190,7 +154,7 @@ enum class BatchMode {
   /// inter-volume fences are the per-slot WAR fences — the
   /// shared-bridge exchange hides under the next volume's compute. The
   /// issue order (how many volumes of phase 1 run ahead of the oldest
-  /// pending exchange) is picked per run from the replay model.
+  /// pending exchange) is the priced argmin (priced_issue_order).
   /// Results are bit-identical to Serial (the simulator applies
   /// functional effects in program order; only the timeline changes).
   Pipelined,
@@ -221,20 +185,11 @@ struct ShardedBatchTiming {
 /// bounds the phase-1 lookahead: with L volumes' phase 1 issued ahead of
 /// the oldest pending phase 2, L+1 staging slots are live at once. Four
 /// slots let a batch of four issue every phase 1 before the first
-/// exchange — on dual-DMA cards that is the order the replay model picks
-/// at exchange-heavy sizes, and fewer slots re-serialize the pipe: with
+/// exchange — on dual-DMA cards that is the order pricing picks at
+/// exchange-heavy sizes, and fewer slots re-serialize the pipe: with
 /// two, volume k's phase-1 WAR fence waits for volume k-2's entire
 /// phase 2 from the third volume on.
 inline constexpr std::size_t kPipelineContexts = 4;
-
-/// Serially-measured durations of the seven per-iteration phases of the
-/// sharded schedule, probed on a scratch device (pass the group member's
-/// bridge-derated spec). up1/fft1/twiddle/dn1 are per phase-1 residue;
-/// up2/fft2/dn2 per phase-2 plane group.
-struct ShardPhases {
-  double up1_ms{}, fft1_ms{}, twiddle_ms{}, dn1_ms{};
-  double up2_ms{}, fft2_ms{}, dn2_ms{};
-};
 
 /// A Z-plane's memory layout as data: a list of row regions, each `n`
 /// rows (the Y extent) of its own X width — {n} for Complex, {n/2, 1}
@@ -305,8 +260,8 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
 
   /// Many volumes through the fleet. Pipelined (the default) overlaps
   /// volume k's exchange + phase 2 with volume k+1's phase 1; Serial is
-  /// the PR 3 back-to-back schedule (kept for A/B tests and the model
-  /// cross-check). Both are bit-identical. Survives DeviceLost mid-batch:
+  /// the back-to-back schedule, and what runs whenever the exec
+  /// policy verifies. Both are bit-identical. Survives DeviceLost mid-batch:
   /// completed volumes keep their results, the failing volume restores
   /// from its snapshot and re-shards over the survivors, and the rest of
   /// the batch continues on the reduced fleet.
@@ -324,9 +279,9 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   [[nodiscard]] std::size_t shards() const { return shards_; }
 
   /// The decomposition the next run will prefer. The constructor seeds
-  /// it from choose_decomposition (planner.h) on peer-capable groups;
-  /// the setter exists for A/B studies (bench_topology) and tests.
-  /// Half-spectrum plans accept Slab only.
+  /// it from choose_decomposition (planner.h), except on a timing twin,
+  /// where plans never price; the setter exists for A/B studies, tests
+  /// and pricing. Half-spectrum plans accept Slab only.
   [[nodiscard]] Decomposition decomposition() const { return decomp_; }
   void set_decomposition(Decomposition d);
 
@@ -348,19 +303,19 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// schedule op for op.
   struct VolumeCtx;
 
+  friend double priced_sharded_ms(sim::DeviceGroup&, const PlanDesc&,
+                                  Decomposition, std::size_t, BatchMode,
+                                  const ExecPolicy&, std::size_t);
+  friend struct ShardedPlanTestAccess;
+
   [[nodiscard]] std::unique_ptr<VolumeCtx> make_ctx(
       const std::vector<std::size_t>& members, const ShardLayout& layout);
 
-  /// Enqueue one full volume (phase 1, group-wide exchange fence, phase
-  /// 2) on `ctx`'s streams without draining them. Buckets accumulate into
-  /// `timing` (indexed by group ordinal); `vol_start_ms` anchors the
-  /// barrier bookkeeping.
-  void enqueue_volume(VolumeCtx& ctx, std::span<cxf> host_data,
-                      std::span<cxf> host_work, double vol_start_ms,
-                      ShardedTiming& timing);
-
-  /// The two halves of enqueue_volume, split so the pipelined batch can
-  /// issue volume k+1's phase 1 *before* volume k's phase 2: the engine
+  /// Enqueue one volume's two phases on `ctx`'s streams without draining
+  /// them; buckets accumulate into `timing` (indexed by group ordinal)
+  /// and `vol_start_ms` anchors the barrier bookkeeping. Split so the
+  /// pipelined batch can issue volume k+1's phase 1 *before* volume k's
+  /// phase 2: the engine
   /// FIFOs dispatch in submission order, so whole-volume issue order
   /// would head-of-line block the next volume's uploads behind this
   /// volume's barrier-gated exchange. Phase 1 only reads `host_data` and
@@ -371,6 +326,11 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   void enqueue_phase2(VolumeCtx& ctx, std::span<cxf> host_data,
                       std::span<cxf> host_work, double vol_start_ms,
                       ShardedTiming& timing);
+
+  /// The pipelined batch with `lookahead` volumes of phase 1 issued
+  /// ahead of the oldest pending phase 2 (< kPipelineContexts).
+  ShardedBatchTiming run_pipelined(std::span<const std::span<cxf>> volumes,
+                                   std::size_t lookahead);
 
   /// One full run over the device subset `members` (indices into the
   /// group) with the resolved `layout`. The failover wrapper in
@@ -400,67 +360,53 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// c2r only: per-device tables of the fused pass (n/2 stages, n pack).
   std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_half_;
   std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_full_;
-  std::vector<cxf> host_work_;
+  sim::LazyZeroVector<cxf> host_work_;
   sim::DeviceGroup::HostStagingLease staging_lease_;
   /// Extra staging volumes for the pipelined batch (slots 1..N-1 of the
   /// kPipelineContexts rotation; slot 0 is host_work_), so a volume's
   /// phase-1 downloads never land in a buffer an earlier volume's phase
   /// 2 is still reading. Allocated lazily on the first batch.
-  std::array<std::vector<cxf>, kPipelineContexts - 1> host_work_extra_;
+  std::array<sim::LazyZeroVector<cxf>, kPipelineContexts - 1>
+      host_work_extra_;
   std::array<sim::DeviceGroup::HostStagingLease, kPipelineContexts - 1>
       staging_lease_extra_;
-  /// Phase durations probed once on the first pipelined batch (member
-  /// 0's spec) to pick the issue order from the replay model.
-  std::optional<ShardPhases> probe_phases_;
   ShardedTiming last_timing_{};
 };
 
-ShardPhases probe_shard_phases(const sim::GpuSpec& spec, std::size_t n,
-                               std::size_t shards, Direction dir);
+/// Makespan of `batch` volumes of `desc` through ShardedFft3DPlan on
+/// `group`'s schedulable members with decomposition `d`, priced by running
+/// the plan's own schedule on group.timing_twin() from an idle fleet, and
+/// cached in the group. The schedule is the one execute_batch(volumes,
+/// mode) runs: Serial when `mode` is Serial or `policy` verifies (one
+/// Serial volume is exactly execute()), otherwise pipelined with
+/// `lookahead` volumes of phase 1 ahead of the oldest pending exchange.
+double priced_sharded_ms(sim::DeviceGroup& group, const PlanDesc& desc,
+                         Decomposition d, std::size_t batch, BatchMode mode,
+                         const ExecPolicy& policy = {},
+                         std::size_t lookahead = 0);
 
-/// Closed-form makespan of the sharded schedule on a homogeneous group of
-/// `devices` cards with phase durations `p`: per device, shards/devices
-/// residue chains then (n/shards)/devices group chains. On a 1-DMA card
-/// the engine FIFOs serialize each chain exactly (the next residue's
-/// upload queues behind this residue's download on the single copy
-/// engine); a 2-DMA card pipelines at the depth-2 double-buffered rate
-/// max(up, compute, down, chain/2). Cross-checked against the scheduler
-/// by bench_sharded (<= 5%).
-double sharded_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                        std::size_t n, std::size_t shards,
-                        std::size_t devices);
+/// The issue order execute_batch(volumes, Pipelined) runs for `batch`
+/// volumes: the candidate lookahead (below min(batch, kPipelineContexts);
+/// only 0 when `policy` verifies, which runs Serial) with the smallest
+/// priced makespan, the first on ties.
+struct IssueOrder {
+  std::size_t lookahead{};
+  double ms{};  ///< its priced makespan
+};
+IssueOrder priced_issue_order(sim::DeviceGroup& group, const PlanDesc& desc,
+                              Decomposition d, std::size_t batch,
+                              const ExecPolicy& policy = {});
 
-/// Closed-form makespan of `batch` volumes through the sharded schedule
-/// on a homogeneous group. Serial: batch x the single-volume model.
-/// Pipelined: every candidate issue order (phase-1 lookahead 0 — whole
-/// volumes back to back — through kPipelineContexts-1 volumes of
-/// phase 1 issued ahead of the oldest pending exchange) is replayed
-/// through the engine scheduler's queueing discipline and the minimum is
-/// returned — the scheduler picks its order from the same replays, so
-/// the minimum is what actually runs. Cross-checked against the
-/// scheduler by bench_sharded and the batch tests.
-double sharded_batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                              std::size_t n, std::size_t shards,
-                              std::size_t devices, std::size_t batch,
-                              BatchMode mode = BatchMode::Pipelined);
-
-/// Closed-form makespan of the topology-aware sharded schedule for
-/// `devices` homogeneous cards on `topo`, preferring `decomp`. Resolves
-/// the same ShardLayout the plan would (shard_layout); a host-staged
-/// layout delegates to sharded_model_ms, a peer layout replays the
-/// exact enqueue order — per-plane uploads, lumped compute, ring-ordered
-/// d2d legs through per-link FIFOs and both endpoints' DMA engines,
-/// per-member receive fences, pencil or slab phase 2 — through the
-/// scheduler's start-at-max(stream tail, engine free, link free) rule,
-/// then applies the aggregate bisection floor: half the exchanged bytes
-/// must cross the worst even cut, so makespan >= exchange_bytes / 2 /
-/// bisection_gbs(). Pass the probe for the *slab* geometry
-/// (probe_shard_phases); pencil-specific kernel times are probed
-/// internally. Cross-checked against the scheduler by bench_topology
-/// (<= 5%).
-double topology_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                         const sim::Topology& topo, std::size_t n,
-                         std::size_t shards, std::size_t devices,
-                         Decomposition decomp, Direction dir);
+/// Makespan of `run` on `group`'s timing twin, the pricing primitive
+/// behind the functions above: `run` gets PlanRegistry::of(twin)'s plan
+/// for `desc` (carrying `policy`) and `batch` host volumes, all views of
+/// one zero buffer that dry transfers never write, after the twin's
+/// clocks reset. Cached in the group under `schedule` plus `desc`,
+/// `policy.verify`, `batch` and the live schedulable member set.
+double dry_run_ms(
+    sim::DeviceGroup& group, const PlanDesc& desc, const ExecPolicy& policy,
+    std::size_t batch, const std::string& schedule,
+    const std::function<void(FftPlan&, std::span<const std::span<cxf>>)>&
+        run);
 
 }  // namespace repro::gpufft

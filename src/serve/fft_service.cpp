@@ -38,20 +38,6 @@ Admission FftService::submit(const FftRequest& req) {
   return Admission::Accepted;
 }
 
-const gpufft::ShardPhases& FftService::phases_for(const PlanDesc& desc) {
-  PlanDesc key = desc;
-  key.kind = PlanKind::Sharded3D;  // probes are shard-schedule phases
-  auto it = phases_.find(key);
-  if (it == phases_.end()) {
-    it = phases_
-             .emplace(key, gpufft::probe_shard_phases(
-                               group_.device(0).spec(), desc.shape.nx,
-                               desc.splits, desc.dir))
-             .first;
-  }
-  return it->second;
-}
-
 void FftService::run_batch(const std::vector<FftRequest>& batch,
                            ServiceReport& rep) {
   const PlanDesc& desc = batch.front().desc;
@@ -88,8 +74,8 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
     if (desc.kind == PlanKind::Sharded3D &&
         desc.layout == gpufft::Layout::RealHalfSpectrum) {
       // Real transforms: one volume at a time. The sharded plan's
-      // pipelined batch also serves half-spectrum volumes, but the
-      // deal-vs-shard model the complex branch consults is complex-only.
+      // pipelined batch also serves half-spectrum volumes, but the dealt
+      // plan the complex branch weighs against it is complex-only.
       auto plan = sharded_plan();
       for (const auto s : spans) {
         plan->execute(s);
@@ -106,12 +92,10 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
       plan->set_exec_policy(cfg_.exec);
       done = plan->execute_batch(spans).volume_done_ms;
     } else if (desc.kind == PlanKind::Sharded3D) {
-      // Complex fleet volumes: the modeled deal-vs-shard choice, keyed on
-      // the fabric (peer layouts shard wider and skip the bridge).
+      // Complex fleet volumes: the priced deal-vs-shard choice, for the
+      // schedule that will run (verified batches shard serially).
       const gpufft::BatchChoice choice = gpufft::choose_batch_strategy(
-          phases_for(desc), group_.device(0).spec(), group_.topo(), desc.dir,
-          n, desc.splits, group_.schedulable_count(), batch.size(),
-          cfg_.mode);
+          group_, desc, batch.size(), cfg_.exec);
       strategy = choice.strategy;
       if (choice.strategy == BatchStrategy::Deal) {
         auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
@@ -121,7 +105,7 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
         plan->set_exec_policy(cfg_.exec);
         done = plan->execute_batch(spans).volume_done_ms;
       } else {
-        done = sharded_plan()->execute_batch(spans, cfg_.mode).volume_done_ms;
+        done = sharded_plan()->execute_batch(spans).volume_done_ms;
       }
     } else {
       REPRO_FAIL(

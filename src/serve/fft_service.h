@@ -7,10 +7,11 @@
 // queue through PlanRegistry::of(group) plans:
 //
 //   - complex 3-D requests are fused into batches of identical
-//     descriptions and routed by choose_batch_strategy(): small batches
-//     shard one volume across the fleet (latency), fleet-sized batches
-//     deal whole volumes to members (throughput), with the pipelined
-//     all-to-all overlap when sharding;
+//     descriptions and routed by choose_batch_strategy(), which prices
+//     both schedules on the group's timing twin: small batches shard one
+//     volume across the fleet (latency), fleet-sized batches deal whole
+//     volumes to members (throughput), with the pipelined all-to-all
+//     overlap when sharding unverified batches;
 //   - out-of-core requests are dealt round-robin to members through the
 //     batch-sharded plan (its members ARE single-card out-of-core plans);
 //   - real-transform requests run the sharded real plan per volume.
@@ -27,7 +28,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -64,8 +64,6 @@ struct ServiceConfig {
   std::size_t byte_watermark = 0;
   /// Most volumes fused into one batch execution.
   std::size_t max_batch = 8;
-  /// Schedule for sharded batches (Pipelined overlaps the all-to-all).
-  gpufft::BatchMode mode = gpufft::BatchMode::Pipelined;
   /// Execution policy applied to every plan the service runs: the ABFT
   /// verification mode plus the staging retry budget. Validated at
   /// construction (sim::InvalidPolicyError names the bad field).
@@ -143,10 +141,6 @@ class FftService {
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
 
  private:
-  /// Phase probes are pure functions of (spec, n, shards, dir); cache
-  /// them so steady-state serving pays no repeated probing.
-  const gpufft::ShardPhases& phases_for(const gpufft::PlanDesc& desc);
-
   /// Execute one same-description batch, appending completion records.
   /// A typed sim error inside the fused execution falls back to
   /// per-request salvage so one poisoned volume cannot take down its
@@ -171,9 +165,6 @@ class FftService {
   std::size_t rejected_bytes_ = 0;
   std::size_t peak_queue_depth_ = 0;
   std::uint64_t probes_run_ = 0;  ///< seeds the deterministic probe volumes
-  std::unordered_map<gpufft::PlanDesc, gpufft::ShardPhases,
-                     gpufft::PlanDescHash>
-      phases_;
 };
 
 }  // namespace repro::serve

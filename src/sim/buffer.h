@@ -9,7 +9,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,6 +27,42 @@ struct Allocation {
   std::uint64_t base_addr{};
   std::size_t bytes{};
 };
+
+/// Allocator for host arrays sized once: calloc'd and never
+/// value-initialized element by element, so the elements read as zero
+/// while pages nobody writes (the buffers and staging of a
+/// DeviceGroup::timing_twin dry run) stay out of the resident set.
+template <typename T>
+struct LazyZeroAllocator {
+  static_assert(std::is_trivially_copyable_v<T>);
+  using value_type = T;
+
+  LazyZeroAllocator() = default;
+  template <typename U>
+  LazyZeroAllocator(const LazyZeroAllocator<U>& /*other*/) {}  // NOLINT
+
+  T* allocate(std::size_t n) {
+    void* p = std::calloc(n, sizeof(T));
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t /*n*/) { std::free(p); }
+  /// Default construction leaves calloc's zeros in place.
+  template <typename U>
+  void construct(U* /*p*/) {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  friend bool operator==(const LazyZeroAllocator&, const LazyZeroAllocator&) {
+    return true;
+  }
+};
+
+/// A host array on LazyZeroAllocator. Size it once: growing it again
+/// after a shrink would expose stale elements instead of zeros.
+template <typename T>
+using LazyZeroVector = std::vector<T, LazyZeroAllocator<T>>;
 
 /// Typed RAII device allocation (move-only).
 template <typename T>
@@ -66,7 +105,7 @@ class DeviceBuffer {
 
   Device* dev_ = nullptr;
   Allocation alloc_{};
-  std::vector<T> host_;
+  LazyZeroVector<T> host_;
 };
 
 }  // namespace repro::sim

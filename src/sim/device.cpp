@@ -123,8 +123,9 @@ LaunchResult Device::launch(Kernel& kernel) {
   }
 
   std::string key = launch_memo_key(kernel, cfg);
-  const auto memo = key.empty() ? launch_memo_.end() : launch_memo_.find(key);
-  const bool hit = memo != launch_memo_.end();
+  LaunchMemo& memo_map = *launch_memo_;
+  const auto memo = key.empty() ? memo_map.end() : memo_map.find(key);
+  const bool hit = memo != memo_map.end();
 
   LaunchStats stats;
   stats.total_threads =
@@ -148,7 +149,8 @@ LaunchResult Device::launch(Kernel& kernel) {
           ? &corrupt_target
           : nullptr;
 
-  for (unsigned b = 0; b < cfg.grid_blocks; ++b) {
+  const unsigned run_blocks = hit && dry_ ? 0 : cfg.grid_blocks;
+  for (unsigned b = 0; b < run_blocks; ++b) {
     const bool recording = b < sampled_blocks;
     BlockCtx ctx(cfg, stats, options_, b, recording,
                  static_cast<std::size_t>(b) * warps_per_block, tex_lines,
@@ -167,8 +169,8 @@ LaunchResult Device::launch(Kernel& kernel) {
     result = estimate_launch(spec_, cfg, stats);
     ++launch_memo_misses_;
     if (!key.empty()) {
-      if (launch_memo_.size() >= kLaunchMemoCapacity) launch_memo_.clear();
-      launch_memo_.emplace(std::move(key), result);
+      if (memo_map.size() >= kLaunchMemoCapacity) memo_map.clear();
+      memo_map.emplace(std::move(key), result);
     }
   }
   schedule(active_stream_, Engine::Compute, result.total_ms * 1e6,

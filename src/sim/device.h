@@ -146,7 +146,7 @@ class Device {
         !transfer_admitted(TransferDir::HostToDevice, bytes)) {
       return;  // transient fault: time charged, payload not delivered
     }
-    std::copy(src.begin(), src.end(), dst.data() + dst_offset);
+    if (!dry_) std::copy(src.begin(), src.end(), dst.data() + dst_offset);
     record_transfer(TransferDir::HostToDevice, bytes);
     if (faults_ != nullptr) maybe_corrupt(dst.data() + dst_offset, bytes);
   }
@@ -161,8 +161,10 @@ class Device {
         !transfer_admitted(TransferDir::DeviceToHost, bytes)) {
       return;
     }
-    std::copy(src.data() + src_offset, src.data() + src_offset + dst.size(),
-              dst.begin());
+    if (!dry_) {
+      std::copy(src.data() + src_offset,
+                src.data() + src_offset + dst.size(), dst.begin());
+    }
     record_transfer(TransferDir::DeviceToHost, bytes);
     if (faults_ != nullptr) maybe_corrupt(dst.data(), bytes);
   }
@@ -195,7 +197,11 @@ class Device {
   /// still runs every block functionally, with recording off, and reuses
   /// the cached LaunchResult instead of re-recording and re-running the
   /// timing model. Fault draws, outputs, the schedule and the history are
-  /// exactly those of an unmemoized launch.
+  /// exactly those of an unmemoized launch. The key and the spec together
+  /// determine the LaunchResult, so DeviceGroup members whose specs
+  /// compare equal share one memo. On a dry device (a DeviceGroup timing
+  /// twin) a hit skips the block loop too; a miss still runs every block,
+  /// because the exact load, store and barrier counts need all of them.
   LaunchResult launch(Kernel& kernel);
 
   /// Entries the launch memo holds at most; it is cleared when full (the
@@ -213,10 +219,16 @@ class Device {
   [[nodiscard]] std::uint64_t launch_memo_misses() const {
     return launch_memo_misses_;
   }
-  /// Entries currently memoized (<= kLaunchMemoCapacity).
+  /// Entries currently memoized (<= kLaunchMemoCapacity), counting those
+  /// of every device sharing this memo.
   [[nodiscard]] std::size_t launch_memo_entries() const {
-    return launch_memo_.size();
+    return launch_memo_->size();
   }
+
+  /// True on the members of a DeviceGroup timing twin: transfers charge
+  /// their time but move no data, and memo-hit launches skip their block
+  /// loop. Only DeviceGroup makes dry devices.
+  [[nodiscard]] bool dry() const { return dry_; }
 
   /// Enqueue the launch on `stream` instead of the serial queue.
   LaunchResult launch_async(Kernel& kernel, Stream& stream) {
@@ -304,6 +316,7 @@ class Device {
 
  private:
   friend struct AllocationAccess;
+  friend class DeviceGroup;  // shares memos, builds and mirrors twins
   friend class Stream;
   template <typename T>
   friend class DeviceBuffer;
@@ -344,7 +357,8 @@ class Device {
   std::uint64_t alloc_count_ = 0;
   std::vector<LaunchResult> history_;
   // Full keys, not hashes, so two distinct launches can never collide.
-  std::unordered_map<std::string, LaunchResult> launch_memo_;
+  using LaunchMemo = std::unordered_map<std::string, LaunchResult>;
+  std::shared_ptr<LaunchMemo> launch_memo_ = std::make_shared<LaunchMemo>();
   std::uint64_t launch_memo_hits_ = 0;
   std::uint64_t launch_memo_misses_ = 0;
   // Engine FIFOs: when each engine finishes its queued work.
@@ -355,6 +369,7 @@ class Device {
   double last_op_ms_ = 0.0;  ///< duration of the last scheduled op
   int ordinal_ = -1;
   bool lost_ = false;
+  bool dry_ = false;
   DeviceHealth health_;
   // Null until faults() is first called; every hook above gates on this,
   // so the injector-free path is a single pointer test (no #ifdef needed).

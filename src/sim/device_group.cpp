@@ -8,7 +8,7 @@ namespace {
 
 /// Derate one card's PCIe link against the shared host bridge: with N
 /// cards active each can sustain at most aggregate/N per direction
-/// (Topology::host_share_*, the PR 3 rule).
+/// (Topology::host_share_*).
 GpuSpec derate_for_bridge(GpuSpec spec, const Topology& topo) {
   spec.pcie.h2d_gbs = topo.host_share_h2d_gbs(spec.pcie.h2d_gbs);
   spec.pcie.d2h_gbs = topo.host_share_d2h_gbs(spec.pcie.d2h_gbs);
@@ -20,51 +20,67 @@ std::vector<GpuSpec> replicate(std::size_t count, const GpuSpec& spec) {
   return std::vector<GpuSpec>(count, spec);
 }
 
-/// Wrap the legacy aggregate-bandwidth struct into the tree topology it
-/// always described (the Topology base checks positivity).
-std::shared_ptr<Topology> wrap_legacy(const GroupTopology& topo,
-                                      std::size_t n) {
-  return std::make_shared<PcieTreeTopology>(n, topo.aggregate_h2d_gbs,
-                                            topo.aggregate_d2h_gbs);
-}
-
 }  // namespace
 
-DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs, GroupTopology topo) {
-  REPRO_CHECK(!specs.empty());
-  REPRO_CHECK(topo.aggregate_h2d_gbs > 0.0 && topo.aggregate_d2h_gbs > 0.0);
-  interconnect_ = wrap_legacy(topo, specs.size());
-  build(std::move(specs));
-}
-
-DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec,
-                         GroupTopology topo)
-    : DeviceGroup(replicate(count, spec), topo) {}
-
 DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs,
-                         std::shared_ptr<Topology> topo)
-    : interconnect_(std::move(topo)) {
+                         std::shared_ptr<const Topology> topo)
+    : interconnect_(topo != nullptr
+                        ? std::move(topo)
+                        : std::make_shared<PcieTreeTopology>(specs.size())) {
   REPRO_CHECK(!specs.empty());
-  REPRO_CHECK(interconnect_ != nullptr);
   REPRO_CHECK_MSG(interconnect_->size() == specs.size(),
                   "topology size must match the device count");
   build(std::move(specs));
 }
 
 DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec,
-                         std::shared_ptr<Topology> topo)
+                         std::shared_ptr<const Topology> topo)
     : DeviceGroup(replicate(count, spec), std::move(topo)) {}
 
 void DeviceGroup::build(std::vector<GpuSpec> specs) {
-  topo_ = {interconnect_->aggregate_h2d_gbs(),
-           interconnect_->aggregate_d2h_gbs()};
   devices_.reserve(specs.size());
   for (const GpuSpec& s : specs) {
-    devices_.push_back(
-        std::make_unique<Device>(derate_for_bridge(s, *interconnect_)));
-    devices_.back()->set_ordinal(static_cast<int>(devices_.size()) - 1);
+    auto dev = std::make_unique<Device>(derate_for_bridge(s, *interconnect_));
+    dev->set_ordinal(static_cast<int>(devices_.size()));
+    // The memo key and the spec determine a LaunchResult, so equal specs
+    // can share one memo exactly.
+    for (const auto& prev : devices_) {
+      if (prev->spec() == dev->spec()) {
+        dev->launch_memo_ = prev->launch_memo_;
+        break;
+      }
+    }
+    devices_.push_back(std::move(dev));
   }
   member_health_.resize(devices_.size());
+}
+
+DeviceGroup& DeviceGroup::timing_twin() {
+  REPRO_CHECK_MSG(!dry_, "a timing twin has no twin");
+  if (twin_ == nullptr) {
+    // Specs are already derated; the derate is idempotent.
+    std::vector<GpuSpec> specs;
+    for (const auto& d : devices_) specs.push_back(d->spec());
+    twin_ = std::make_unique<DeviceGroup>(std::move(specs), interconnect_);
+    twin_->dry_ = true;
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+      twin_->devices_[i]->dry_ = true;
+      twin_->devices_[i]->launch_memo_ = devices_[i]->launch_memo_;
+    }
+  }
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    twin_->devices_[i]->lost_ = devices_[i]->lost_;
+    twin_->member_health_[i].quarantined = member_health_[i].quarantined;
+  }
+  return *twin_;
+}
+
+double DeviceGroup::reserve_link(std::size_t a, std::size_t b,
+                                 double ready_ms, double dur_ms) {
+  double& free_ms = link_free_ms_[{a, b}];
+  const double start = std::max(ready_ms, free_ms);
+  free_ms = start + dur_ms;
+  return start;
 }
 
 double DeviceGroup::elapsed_ms() const {
@@ -79,7 +95,7 @@ void DeviceGroup::advance_to_ms(double ms) {
 
 void DeviceGroup::reset_clocks() {
   for (auto& d : devices_) d->reset_clock();
-  interconnect_->reset_links();
+  link_free_ms_.clear();
 }
 
 void DeviceGroup::sync_all() {

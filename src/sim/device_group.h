@@ -26,14 +26,21 @@
 // sharded plan keeps in host memory) so peak_bytes_in_flight() can check
 // the 512 MB-card constraint per shard: it is the largest per-member
 // device footprint plus the peak host staging footprint.
+//
+// timing_twin() gives the scheduler a second use: a dry copy of the fleet
+// on which plans run their real enqueue code to price a schedule (the
+// planner's slab-vs-pencil, pipelined issue order and deal-vs-shard
+// calls), so the engine and link FIFOs here are the only timing model.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <span>
 #include <typeindex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -59,25 +66,6 @@ struct HealthPolicy {
   std::uint64_t clean_probes_to_reinstate = 2;
 };
 
-/// Host-side interconnect shared by the members of a group: the chipset's
-/// aggregate PCIe throughput per direction, split evenly across members.
-struct GroupTopology {
-  double aggregate_h2d_gbs{12.8};  ///< bridge-wide host-to-device GB/s
-  double aggregate_d2h_gbs{12.8};  ///< bridge-wide device-to-host GB/s
-
-  /// A 2008-era PCIe 2.0 chipset: 32 lanes of usable upstream capacity,
-  /// ~12.8 GB/s sustained per direction shared by all slots.
-  [[nodiscard]] static GroupTopology pcie2_chipset() { return {}; }
-
-  /// No shared-bridge contention: every card keeps its full link rate
-  /// regardless of group size (an idealized topology for A/B studies).
-  /// kUnconstrainedGBs makes min(card rate, aggregate/N) always pick
-  /// the card's own rate without overflowing downstream arithmetic.
-  [[nodiscard]] static GroupTopology unshared() {
-    return {kUnconstrainedGBs, kUnconstrainedGBs};
-  }
-};
-
 /// Simulated duration of an on-device (cudaMemcpyDeviceToDevice) copy:
 /// the payload crosses DRAM twice (read + write) at the card's effective
 /// stream bandwidth. Used for the self-legs of a peer exchange, where a
@@ -100,21 +88,16 @@ struct PeerLeg {
 
 class DeviceGroup {
  public:
-  /// One Device per spec, PCIe rates derated against `topo`. Specs may be
-  /// mixed (e.g. an 8800 GT next to an 8800 GTX).
+  /// One Device per spec (specs may be mixed, e.g. an 8800 GT next to an
+  /// 8800 GTX), wired by `topo`, which must span exactly the device count;
+  /// null means a PcieTreeTopology with its PCIe 2.0 chipset default.
+  /// Host-bridge derating goes through Topology::host_share_*; peer
+  /// fabrics additionally enable d2d_async.
   explicit DeviceGroup(std::vector<GpuSpec> specs,
-                       GroupTopology topo = GroupTopology::pcie2_chipset());
-
+                       std::shared_ptr<const Topology> topo = nullptr);
   /// Homogeneous convenience: `count` copies of `spec`.
   DeviceGroup(std::size_t count, const GpuSpec& spec,
-              GroupTopology topo = GroupTopology::pcie2_chipset());
-
-  /// Pluggable-interconnect constructors: the topology must span exactly
-  /// the group's device count. Host-bridge derating goes through
-  /// Topology::host_share_*; peer fabrics additionally enable d2d_async.
-  DeviceGroup(std::vector<GpuSpec> specs, std::shared_ptr<Topology> topo);
-  DeviceGroup(std::size_t count, const GpuSpec& spec,
-              std::shared_ptr<Topology> topo);
+              std::shared_ptr<const Topology> topo = nullptr);
 
   DeviceGroup(const DeviceGroup&) = delete;
   DeviceGroup& operator=(const DeviceGroup&) = delete;
@@ -128,13 +111,28 @@ class DeviceGroup {
     REPRO_CHECK(i < devices_.size());
     return *devices_[i];
   }
-  [[nodiscard]] const GroupTopology& topology() const { return topo_; }
-
-  /// The interconnect model (never null; legacy GroupTopology ctors wrap
-  /// into a PcieTreeTopology). Mutable because link-FIFO reservations are
-  /// timing state, like the engine FIFOs inside Device.
-  [[nodiscard]] Topology& topo() { return *interconnect_; }
+  /// The interconnect model (never null, immutable: the link FIFOs are
+  /// the group's timing state, like the engine FIFOs inside Device).
   [[nodiscard]] const Topology& topo() const { return *interconnect_; }
+
+  /// Per-link FIFO, mirroring the per-engine FIFOs in Device: a leg ready
+  /// at `ready_ms` starts once the directed link a->b is free and holds
+  /// it for `dur_ms`. Returns the start time. Links are full duplex: a->b
+  /// and b->a queue independently. reset_clocks() empties every FIFO.
+  double reserve_link(std::size_t a, std::size_t b, double ready_ms,
+                      double dur_ms);
+
+  /// The group's timing twin, built on first use: the same member specs
+  /// and the same Topology, with every member dry (see Device::dry) and
+  /// sharing its live counterpart's launch memo. Transfers and d2d_async
+  /// legs charge their time but move no data, and no fault injector
+  /// exists, so running a plan on the twin prices its schedule without
+  /// touching this group. Each call mirrors which members are lost or
+  /// quarantined here, so the twin's schedulable_members() is this
+  /// group's. A twin has no twin.
+  DeviceGroup& timing_twin();
+  /// True for a timing twin (every member is dry).
+  [[nodiscard]] bool dry() const { return dry_; }
 
   /// Direct device-to-device copy of `count` elements over the fabric,
   /// asynchronous on the participating streams.
@@ -142,7 +140,7 @@ class DeviceGroup {
   /// The route comes from topo().route(src, dst); each hop occupies the
   /// sender's D2H DMA engine and the receiver's H2D DMA engine for the
   /// leg's wire time, serialized through the per-link FIFO
-  /// (Topology::reserve_link) so concurrent legs over one wire queue.
+  /// (reserve_link) so concurrent legs over one wire queue.
   /// The first hop sends on `send_stream` (the caller's producing
   /// stream, so the leg orders after the data it carries); forwarding
   /// hops send on the intermediate device's entry in `exch_streams`
@@ -174,8 +172,10 @@ class DeviceGroup {
       const double dur = local_copy_ms(dev.spec(), bytes);
       const double start =
           dev.submit_timed(send_stream, Engine::DmaD2H, dur, "d2d local");
-      std::copy(sbuf.data() + soff, sbuf.data() + soff + count,
-                dbuf.data() + doff);
+      if (!dry_) {
+        std::copy(sbuf.data() + soff, sbuf.data() + soff + count,
+                  dbuf.data() + doff);
+      }
       legs.push_back({src, dst, start, dur, start + dur});
       return legs;
     }
@@ -197,15 +197,17 @@ class DeviceGroup {
       const double dur = interconnect_->leg_ms(a, b, bytes);
       const double ready =
           std::max(ss.ready_ms(), da.next_free_ms(Engine::DmaD2H));
-      const double start = interconnect_->reserve_link(a, b, ready, dur);
+      const double start = reserve_link(a, b, ready, dur);
       ss.wait_until_ms(start);
       const double s0 = da.submit_timed(ss, Engine::DmaD2H, dur, "d2d send");
       rs.wait_until_ms(s0);
       const double r0 = db.submit_timed(rs, Engine::DmaH2D, dur, "d2d recv");
       legs.push_back({a, b, s0, dur, r0 + dur});
     }
-    std::copy(sbuf.data() + soff, sbuf.data() + soff + count,
-              dbuf.data() + doff);
+    if (!dry_) {
+      std::copy(sbuf.data() + soff, sbuf.data() + soff + count,
+                dbuf.data() + doff);
+    }
     return legs;
   }
 
@@ -364,8 +366,9 @@ class DeviceGroup {
 
   void build(std::vector<GpuSpec> specs);
 
-  GroupTopology topo_;  ///< legacy aggregate view, mirrors interconnect_
-  std::shared_ptr<Topology> interconnect_;
+  std::shared_ptr<const Topology> interconnect_;
+  std::map<std::pair<std::size_t, std::size_t>, double> link_free_ms_;
+  bool dry_ = false;
   // unique_ptr: Device is pinned (streams and buffers hold raw pointers).
   std::vector<std::unique_ptr<Device>> devices_;
   std::size_t host_staging_bytes_ = 0;
@@ -374,7 +377,9 @@ class DeviceGroup {
   std::vector<MemberHealthState> member_health_;
   std::uint64_t quarantines_total_ = 0;
   std::uint64_t reinstatements_total_ = 0;
-  // Last member so slots holding plans/buffers die before the devices.
+  std::unique_ptr<DeviceGroup> twin_;  ///< built by timing_twin()
+  // Last member so slots holding plans/buffers die before the devices
+  // and the twin (slots may hold plans built on the twin).
   std::unordered_map<std::type_index, std::shared_ptr<void>> locals_;
 };
 

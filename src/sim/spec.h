@@ -26,6 +26,8 @@ struct PcieSpec {
   double h2d_gbs{5.2};        ///< sustained host-to-device GB/s
   double d2h_gbs{5.0};        ///< sustained device-to-host GB/s
   double latency_us{20.0};    ///< per-transfer setup latency
+
+  bool operator==(const PcieSpec&) const = default;
 };
 
 /// DRAM (GDDR3) timing-model parameters. The model is channels x banks of
@@ -54,6 +56,8 @@ struct DramSpec {
   double spread_log_range{7.0};  ///< penalty saturates at threshold*2^range
   double peak_efficiency{0.88}; ///< fraction of pin bandwidth a perfect
                                 ///< stream sustains (command overhead)
+
+  bool operator==(const DramSpec&) const = default;
 };
 
 /// One CUDA GPU, as in the paper's Table 1.
@@ -108,6 +112,9 @@ struct GpuSpec {
     return bus_width_bits / 8.0 * mem_clock_mhz * 1e-3;
   }
   [[nodiscard]] int total_sps() const { return num_sms * sps_per_sm; }
+
+  /// Field-wise: equal specs give equal timing for equal launches.
+  bool operator==(const GpuSpec&) const = default;
 };
 
 /// The three evaluation cards of Table 1.

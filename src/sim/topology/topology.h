@@ -4,20 +4,19 @@
 // how much of the host bridge each card sees (the PR 3 shared-bridge
 // derate), whether any pair of cards has a direct peer path, the
 // per-link rate/latency of that fabric, and a closed-form bisection
-// bandwidth that the planner uses to pick a decomposition.
+// bandwidth for reports.
 //
-// Topologies are *timing* models only.  Functional data movement stays
-// host-backed (DeviceBuffer memcpy); DeviceGroup::d2d_async turns a
-// route from here into timed DMA-engine occupancy on the endpoint
-// devices plus a per-link FIFO (reserve_link) so concurrent legs over
-// the same wire queue behind each other, exactly like the per-engine
-// FIFOs inside sim::Device.
+// Topologies are immutable *timing* models only, so a group and its
+// timing twin share one.  Functional data movement stays host-backed
+// (DeviceBuffer memcpy); DeviceGroup::d2d_async turns a route from here
+// into timed DMA-engine occupancy on the endpoint devices plus the
+// group's per-link FIFO (DeviceGroup::reserve_link), so concurrent legs
+// over the same wire queue behind each other, exactly like the
+// per-engine FIFOs inside sim::Device.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -80,7 +79,7 @@ class Topology {
 
   /// Full hop list {a, v1, ..., b} for a fabric transfer, or empty when
   /// the only path is host staging.  Deterministic (dimension-ordered
-  /// on the torus) so replayed models see the same wires.
+  /// on the torus) so every run of a schedule sees the same wires.
   [[nodiscard]] virtual std::vector<std::size_t> route(std::size_t a,
                                                        std::size_t b) const {
     (void)a;
@@ -110,30 +109,14 @@ class Topology {
   }
 
   /// Closed-form bisection bandwidth (GB/s) across the worst even cut
-  /// of the fabric.  The planner keys slab-vs-pencil on this; each
+  /// of the fabric, reported next to service and bench throughput; each
   /// concrete topology documents its derivation.
   [[nodiscard]] virtual double bisection_gbs() const = 0;
-
-  /// Per-link FIFO, mirroring the per-engine FIFOs in sim::Device: a
-  /// leg that is ready at `ready_ms` starts once the (directed) link
-  /// a->b is free, and occupies it for `dur_ms`.  Returns the start
-  /// time.  Links are full duplex: a->b and b->a queue independently.
-  double reserve_link(std::size_t a, std::size_t b, double ready_ms,
-                      double dur_ms) {
-    double& free_ms = link_free_ms_[{a, b}];
-    const double start = ready_ms > free_ms ? ready_ms : free_ms;
-    free_ms = start + dur_ms;
-    return start;
-  }
-
-  /// Forget all link occupancy (paired with DeviceGroup::reset_clocks).
-  void reset_links() { link_free_ms_.clear(); }
 
  private:
   std::size_t size_;
   double aggregate_h2d_gbs_;
   double aggregate_d2h_gbs_;
-  std::map<std::pair<std::size_t, std::size_t>, double> link_free_ms_;
 };
 
 }  // namespace repro::sim

@@ -1,8 +1,8 @@
 // Batched multi-volume execution: the dealt batch plan
 // (BatchShardedFft3DPlan), the pipelined sharded batch, bit-identity of
-// every schedule against the serial reference, the closed-form batch
-// models and the deal-vs-shard decision rule, and mid-batch DeviceLost
-// recovery for both paths.
+// every schedule against the serial reference, exact pricing of the
+// pipelined issue order and of the deal-vs-shard decision, and mid-batch
+// DeviceLost recovery for both paths.
 #include "gpufft/batch_sharded.h"
 
 #include <gtest/gtest.h>
@@ -138,82 +138,111 @@ TEST(BatchSharded, PipelinedImprovesMakespanOnDualEngineCards) {
                        << " pipelined=" << piped.makespan_ms;
 }
 
-TEST(BatchSharded, BatchModelTracksPipelinedScheduler) {
-  const std::size_t n = 64;
-  const std::size_t shards = 8;
+}  // namespace
+
+/// Runs a pipelined batch at a fixed issue order, which execute_batch only
+/// ever picks as the priced argmin.
+struct ShardedPlanTestAccess {
+  static ShardedBatchTiming run_pipelined(
+      ShardedFft3DPlan& plan, std::span<const std::span<cxf>> volumes,
+      std::size_t lookahead) {
+    return plan.run_pipelined(volumes, lookahead);
+  }
+};
+
+namespace {
+
+TEST(BatchSharded, PricedLookaheadCandidatesAreExact) {
+  // Every candidate issue order, priced on the timing twin, against the
+  // same order run on the live fleet; then execute_batch must run the
+  // cheapest at exactly its price.
+  const std::size_t n = 32;
+  const std::size_t shards = 4;
+  const std::size_t batch = 4;
   for (const auto& spec :
        {sim::geforce_8800_gts(), sim::geforce_gtx_280()}) {
     for (const std::size_t devices : {2u, 4u}) {
+      SCOPED_TRACE(spec.name + " x" + std::to_string(devices));
       sim::DeviceGroup group(devices, spec);
-      const auto& derated = group.device(0).spec();
-      const auto phases =
-          probe_shard_phases(derated, n, shards, Direction::Forward);
       ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
-      auto data = make_volumes(4, n, 404);
+      auto data = make_volumes(batch, n, 404);
       auto spans = spans_of(data);
-      const auto bt = plan.execute_batch(spans, BatchMode::Pipelined);
-      const double model = sharded_batch_model_ms(
-          phases, derated, n, shards, devices, 4, BatchMode::Pipelined);
-      const double err =
-          std::abs(model - bt.makespan_ms) / bt.makespan_ms;
-      EXPECT_LT(err, 0.05) << spec.name << " x" << devices
-                           << " model=" << model
-                           << " measured=" << bt.makespan_ms;
+      for (std::size_t la = 0; la < kPipelineContexts; ++la) {
+        const double priced =
+            priced_sharded_ms(group, plan.desc(), plan.decomposition(),
+                              batch, BatchMode::Pipelined, {}, la);
+        group.reset_clocks();
+        EXPECT_EQ(ShardedPlanTestAccess::run_pipelined(plan, spans, la)
+                      .makespan_ms,
+                  priced)
+            << "lookahead=" << la;
+      }
+      const IssueOrder best = priced_issue_order(
+          group, plan.desc(), plan.decomposition(), batch);
+      group.reset_clocks();
+      EXPECT_EQ(plan.execute_batch(spans, BatchMode::Pipelined).makespan_ms,
+                best.ms);
     }
   }
+}
+
+/// A priced deal-vs-shard choice and the two batches it weighed, run.
+struct PricedChoice {
+  BatchChoice choice;
+  double dealt_ms{};
+  double sharded_ms{};
+};
+
+/// Fresh fleet, priced choice for `batch` volumes, then both schedules
+/// run in pricing order (deal, then shard) so live and twin share one
+/// allocation history; each run must equal its price.
+PricedChoice run_priced_choice(std::size_t devices, std::size_t n,
+                               std::size_t shards, std::size_t batch) {
+  sim::DeviceGroup group(devices, sim::geforce_8800_gts());
+  const PlanDesc desc = PlanDesc::sharded3d(n, shards, Direction::Forward);
+  PricedChoice r;
+  r.choice = choose_batch_strategy(group, desc, batch);
+
+  BatchShardedFft3DPlan deal_plan(group, n, shards, Direction::Forward);
+  auto deal_data = make_volumes(batch, n, 500 + batch);
+  auto deal_spans = spans_of(deal_data);
+  group.reset_clocks();
+  r.dealt_ms = deal_plan.execute_batch(deal_spans).makespan_ms;
+
+  ShardedFft3DPlan shard_plan(group, desc);
+  auto shard_data = make_volumes(batch, n, 500 + batch);
+  auto shard_spans = spans_of(shard_data);
+  group.reset_clocks();
+  r.sharded_ms =
+      shard_plan.execute_batch(shard_spans, BatchMode::Pipelined).makespan_ms;
+
+  EXPECT_EQ(r.dealt_ms, r.choice.deal_ms) << "batch=" << batch;
+  EXPECT_EQ(r.sharded_ms, r.choice.shard_ms) << "batch=" << batch;
+  return r;
+}
+
+BatchStrategy measured_winner(const PricedChoice& r) {
+  return r.dealt_ms <= r.sharded_ms ? BatchStrategy::Deal
+                                    : BatchStrategy::Shard;
 }
 
 TEST(BatchSharded, ModelPredictsDealVsShardCrossover) {
   // The planner rule: sharding wins while the batch is smaller than the
   // fleet (dealing idles cards), dealing wins once every card has a
-  // whole volume. Both model sides must track the scheduler to <= 5% and
-  // the predicted winner must match the measured one at every batch size.
+  // whole volume. Both sides are priced exactly, so the predicted winner
+  // is the measured one at every batch size.
   const std::size_t n = 64;
   const std::size_t shards = 8;
   const std::size_t devices = 4;
-  sim::DeviceGroup group(devices, sim::geforce_8800_gts());
-  const auto& derated = group.device(0).spec();
-  const auto phases =
-      probe_shard_phases(derated, n, shards, Direction::Forward);
-  ShardedFft3DPlan shard_plan(group, n, shards, Direction::Forward);
-  BatchShardedFft3DPlan deal_plan(group, n, shards, Direction::Forward);
-
   for (const std::size_t batch : {1u, 2u, 4u, 8u}) {
-    auto shard_data = make_volumes(batch, n, 500 + batch);
-    auto shard_spans = spans_of(shard_data);
-    const auto sharded =
-        shard_plan.execute_batch(shard_spans, BatchMode::Pipelined);
-
-    auto deal_data = make_volumes(batch, n, 500 + batch);
-    auto deal_spans = spans_of(deal_data);
-    const auto dealt = deal_plan.execute_batch(deal_spans);
-
-    const BatchChoice c =
-        choose_batch_strategy(phases, derated, n, shards, devices, batch);
-    const double deal_err =
-        std::abs(c.deal_ms - dealt.makespan_ms) / dealt.makespan_ms;
-    const double shard_err =
-        std::abs(c.shard_ms - sharded.makespan_ms) / sharded.makespan_ms;
-    EXPECT_LT(deal_err, 0.05) << "batch=" << batch;
-    EXPECT_LT(shard_err, 0.05) << "batch=" << batch;
-
-    // Winner prediction: only meaningful when the measured gap is
-    // decisive. A homogeneous bridge-bound fleet moves the same bytes
-    // either way, so large batches land within noise of a tie — either
-    // choice is right there.
-    const double gap = std::abs(dealt.makespan_ms - sharded.makespan_ms);
-    if (gap > 0.02 * std::min(dealt.makespan_ms, sharded.makespan_ms)) {
-      const BatchStrategy measured =
-          dealt.makespan_ms <= sharded.makespan_ms ? BatchStrategy::Deal
-                                                   : BatchStrategy::Shard;
-      EXPECT_EQ(c.strategy, measured)
-          << "batch=" << batch << " deal=" << dealt.makespan_ms
-          << " shard=" << sharded.makespan_ms;
-    }
+    const PricedChoice r = run_priced_choice(devices, n, shards, batch);
+    EXPECT_EQ(r.choice.strategy, measured_winner(r))
+        << "batch=" << batch << " deal=" << r.dealt_ms
+        << " shard=" << r.sharded_ms;
     if (batch == 1) {
       // A single volume must shard: dealing leaves 3 of 4 cards idle.
-      EXPECT_EQ(c.strategy, BatchStrategy::Shard);
-      EXPECT_LT(sharded.makespan_ms, dealt.makespan_ms);
+      EXPECT_EQ(r.choice.strategy, BatchStrategy::Shard);
+      EXPECT_LT(r.sharded_ms, r.dealt_ms);
     }
   }
 }
@@ -225,38 +254,12 @@ TEST(BatchSharded, DealWinsWhenShardingCannotUseEveryCard) {
   const std::size_t n = 64;
   const std::size_t shards = 8;
   const std::size_t devices = 3;
-  sim::DeviceGroup group(devices, sim::geforce_8800_gts());
-  const auto& derated = group.device(0).spec();
-  const auto phases =
-      probe_shard_phases(derated, n, shards, Direction::Forward);
-  ShardedFft3DPlan shard_plan(group, n, shards, Direction::Forward);
-  BatchShardedFft3DPlan deal_plan(group, n, shards, Direction::Forward);
-
   for (const std::size_t batch : {1u, 6u}) {
-    auto shard_data = make_volumes(batch, n, 900 + batch);
-    auto shard_spans = spans_of(shard_data);
-    const auto sharded =
-        shard_plan.execute_batch(shard_spans, BatchMode::Pipelined);
-    auto deal_data = make_volumes(batch, n, 900 + batch);
-    auto deal_spans = spans_of(deal_data);
-    const auto dealt = deal_plan.execute_batch(deal_spans);
-
-    const BatchChoice c =
-        choose_batch_strategy(phases, derated, n, shards, devices, batch);
-    EXPECT_LT(std::abs(c.deal_ms - dealt.makespan_ms) / dealt.makespan_ms,
-              0.05)
-        << "batch=" << batch;
-    EXPECT_LT(
-        std::abs(c.shard_ms - sharded.makespan_ms) / sharded.makespan_ms,
-        0.05)
-        << "batch=" << batch;
-    const BatchStrategy measured =
-        dealt.makespan_ms <= sharded.makespan_ms ? BatchStrategy::Deal
-                                                 : BatchStrategy::Shard;
-    EXPECT_EQ(c.strategy, measured)
-        << "batch=" << batch << " deal=" << dealt.makespan_ms
-        << " shard=" << sharded.makespan_ms;
-    EXPECT_EQ(c.strategy,
+    const PricedChoice r = run_priced_choice(devices, n, shards, batch);
+    EXPECT_EQ(r.choice.strategy, measured_winner(r))
+        << "batch=" << batch << " deal=" << r.dealt_ms
+        << " shard=" << r.sharded_ms;
+    EXPECT_EQ(r.choice.strategy,
               batch == 1 ? BatchStrategy::Shard : BatchStrategy::Deal);
   }
 }

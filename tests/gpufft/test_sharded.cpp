@@ -1,7 +1,7 @@
 // Multi-device sharded 3-D FFT: bit-exact equivalence with the
 // single-device out-of-core plan, the pinned degenerate group-of-one
-// timeline, exchange accounting, the closed-form pipeline model, and the
-// registry front door.
+// timeline, exchange accounting, exact pricing on the timing twin, and
+// the registry front door.
 #include "gpufft/sharded.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,11 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "fft/plan.h"
+#include "gpufft/batch_sharded.h"
+#include "gpufft/planner.h"
 #include "gpufft/real3d.h"
 #include "gpufft/registry.h"
+#include "sim/fault.h"
 #include "sim/topology/pcie_tree.h"
 #include "sim/topology/peer_mesh.h"
 #include "sim/topology/torus2d.h"
@@ -189,38 +192,39 @@ TEST(Sharded, ExchangeAndByteAccounting) {
   EXPECT_GE(group.peak_bytes_in_flight(), volume_bytes);
 }
 
-TEST(Sharded, MakespanMatchesClosedFormModelSerialCards) {
-  // On 1-DMA cards the engine FIFOs serialize each chain exactly, so the
-  // closed-form model should agree with the scheduler to rounding.
+/// The priced single-volume makespan against a run of `plan` on the live
+/// group from an idle fleet (the origin pricing assumes). Pricing first
+/// and executing second gives both fleets the same allocation history.
+void expect_priced_equals_executed(sim::DeviceGroup& group,
+                                   ShardedFft3DPlan& plan,
+                                   std::vector<cxf> data) {
+  const double priced = priced_sharded_ms(
+      group, plan.desc(), plan.decomposition(), 1, BatchMode::Serial);
+  group.reset_clocks();
+  EXPECT_EQ(plan.execute(std::span<cxf>(data)).makespan_ms, priced);
+}
+
+TEST(Sharded, PricedMakespanIsExactOnSerialCards) {
+  // 1-DMA cards: the engine FIFOs serialize each chain.
   const std::size_t n = 64;
   const std::size_t shards = 4;
-  auto data = random_complex<float>(n * n * n, 27);
+  const auto data = random_complex<float>(n * n * n, 27);
   for (const std::size_t devices : {1u, 2u}) {
+    SCOPED_TRACE("devices=" + std::to_string(devices));
     sim::DeviceGroup group(devices, sim::geforce_8800_gts());
     ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
-    const auto t = plan.execute(std::span<cxf>(data));
-    const auto phases = probe_shard_phases(group.device(0).spec(), n,
-                                           shards, Direction::Forward);
-    const double model = sharded_model_ms(phases, group.device(0).spec(), n,
-                                          shards, devices);
-    EXPECT_NEAR(t.makespan_ms, model, 1e-3 * model) << "devices=" << devices;
+    expect_priced_equals_executed(group, plan, data);
   }
 }
 
-TEST(Sharded, MakespanWithinModelToleranceOnDualEngineCards) {
-  // The GTX 280 has two copy engines: the double-buffered pipeline model
-  // is approximate there; the acceptance tolerance is 5%.
+TEST(Sharded, PricedMakespanIsExactOnDualEngineCards) {
+  // The GTX 280 has two copy engines, so each card overlaps its chains.
   const std::size_t n = 64;
   const std::size_t shards = 4;
-  auto data = random_complex<float>(n * n * n, 28);
   sim::DeviceGroup group(2, sim::geforce_gtx_280());
   ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
-  const auto t = plan.execute(std::span<cxf>(data));
-  const auto phases = probe_shard_phases(group.device(0).spec(), n, shards,
-                                         Direction::Forward);
-  const double model = sharded_model_ms(phases, group.device(0).spec(), n,
-                                        shards, 2);
-  EXPECT_NEAR(t.makespan_ms, model, 0.05 * model);
+  expect_priced_equals_executed(group, plan,
+                                random_complex<float>(n * n * n, 28));
 }
 
 TEST(Sharded, RejectsBadGeometry) {
@@ -414,55 +418,117 @@ TEST(ShardedTopology, LayoutResolutionFollowsTheTopology) {
 }
 
 TEST(ShardedTopology, PlannerPrefersPencilWhereItScales) {
-  // On a 16-wide mesh the slab layout strands 12 of 16 cards; the model
+  // On a 16-wide mesh the slab layout strands 12 of 16 cards; pricing
   // must steer the constructor to pencil. A 4-wide mesh has no pencil
   // option at all.
   const sim::GpuSpec spec = sim::geforce_8800_gts();
-  const sim::PeerMeshTopology mesh16(16);
-  EXPECT_EQ(choose_decomposition(mesh16, spec, 64, 16, 16,
-                                 Direction::Forward),
-            Decomposition::Pencil);
-  const sim::PeerMeshTopology mesh4(4);
-  EXPECT_EQ(choose_decomposition(mesh4, spec, 64, 16, 4,
-                                 Direction::Forward),
-            Decomposition::Slab);
+  const PlanDesc desc = PlanDesc::sharded3d(64, 16, Direction::Forward);
+  sim::DeviceGroup mesh16(16, spec,
+                          std::make_shared<sim::PeerMeshTopology>(16));
+  EXPECT_EQ(choose_decomposition(mesh16, desc), Decomposition::Pencil);
+  sim::DeviceGroup mesh4(4, spec, std::make_shared<sim::PeerMeshTopology>(4));
+  EXPECT_EQ(choose_decomposition(mesh4, desc), Decomposition::Slab);
   // The constructor applies the same call on peer-capable groups.
-  sim::DeviceGroup group(16, spec, std::make_shared<sim::PeerMeshTopology>(16));
-  ShardedFft3DPlan plan(group, 64, 16, Direction::Forward);
+  ShardedFft3DPlan plan(mesh16, 64, 16, Direction::Forward);
   EXPECT_EQ(plan.decomposition(), Decomposition::Pencil);
 }
 
-TEST(ShardedTopology, TopologyModelTracksPeerMakespans) {
-  // The replayed model must stay within 5% of the scheduler on peer
-  // fabrics, for both decompositions.
+TEST(ShardedPricing, SlabAndPencilOnMeshAndTorusAreExact) {
+  // The constructor prices slab, then pencil, on the timing twin; running
+  // both in that order on the live group must reproduce each price to
+  // the last bit.
   const std::size_t n = 64;
   const std::size_t shards = 16;
-  auto data = random_complex<float>(n * n * n, 44);
-  const sim::GpuSpec spec = sim::geforce_8800_gts();
-  const auto phases = probe_shard_phases(spec, n, shards, Direction::Forward);
-
-  struct Case {
-    std::shared_ptr<sim::Topology> topo;
-    std::size_t devices;
-    Decomposition decomp;
+  const auto data = random_complex<float>(n * n * n, 44);
+  const std::shared_ptr<const sim::Topology> fabrics[] = {
+      std::make_shared<sim::PeerMeshTopology>(8),
+      std::make_shared<sim::Torus2DTopology>(2, 4),
   };
-  const Case cases[] = {
-      {std::make_shared<sim::PeerMeshTopology>(4), 4, Decomposition::Slab},
-      {std::make_shared<sim::PeerMeshTopology>(8), 8, Decomposition::Pencil},
-      {std::make_shared<sim::Torus2DTopology>(2, 4), 8, Decomposition::Pencil},
-  };
-  for (const Case& c : cases) {
-    sim::DeviceGroup group(c.devices, spec, c.topo);
+  for (const auto& topo : fabrics) {
+    SCOPED_TRACE(topo->kind());
+    sim::DeviceGroup group(8, sim::geforce_8800_gts(), topo);
     ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
-    plan.set_decomposition(c.decomp);
-    auto run = data;
-    const auto t = plan.execute(std::span<cxf>(run));
-    const double model = topology_model_ms(phases, spec, *c.topo, n, shards,
-                                           c.devices, c.decomp,
-                                           Direction::Forward);
-    EXPECT_NEAR(t.makespan_ms, model, 0.05 * model)
-        << c.topo->kind() << " x" << c.devices;
+    for (const Decomposition d :
+         {Decomposition::Slab, Decomposition::Pencil}) {
+      plan.set_decomposition(d);
+      expect_priced_equals_executed(group, plan, data);
+      EXPECT_EQ(plan.last_layout().decomp, d);
+      EXPECT_EQ(plan.last_layout().exchange, Exchange::Peer);
+    }
   }
+}
+
+TEST(ShardedPricing, LeavesTheLiveGroupUntouched) {
+  // Two identical fleets run the same volume; one is priced first (every
+  // candidate of a pipelined batch, and deal vs shard). Output bits,
+  // timing buckets, launch history, fault occurrences and the in-flight
+  // footprint must not tell them apart.
+  const std::size_t n = 32;
+  const std::size_t shards = 4;
+  const PlanDesc desc = PlanDesc::sharded3d(n, shards, Direction::Forward);
+  const auto input = random_complex<float>(n * n * n, 50);
+  struct Run {
+    std::vector<cxf> out;
+    ShardedTiming timing;
+    std::vector<std::vector<sim::LaunchResult>> history;
+    std::vector<std::uint64_t> occurrences;
+    std::size_t peak = 0;
+  };
+  const auto run = [&](bool price) {
+    sim::DeviceGroup group(4, sim::geforce_gtx_280(),
+                           std::make_shared<sim::PeerMeshTopology>(4));
+    for (std::size_t d = 0; d < group.size(); ++d) group.faults(d);
+    ShardedFft3DPlan plan(group, desc);
+    if (price) {
+      priced_issue_order(group, desc, plan.decomposition(), 3);
+      choose_batch_strategy(group, desc, 4);
+    }
+    Run r;
+    r.out = input;
+    r.timing = plan.execute(std::span<cxf>(r.out));
+    for (std::size_t d = 0; d < group.size(); ++d) {
+      r.history.push_back(group.device(d).history());
+      for (const sim::FaultKind k : sim::kAllFaultKinds) {
+        r.occurrences.push_back(group.faults(d).occurrences(k));
+      }
+    }
+    r.peak = group.peak_bytes_in_flight();
+    return r;
+  };
+  const Run priced = run(true);
+  const Run plain = run(false);
+  EXPECT_TRUE(bit_identical(priced.out, plain.out));
+  EXPECT_EQ(priced.timing.makespan_ms, plain.timing.makespan_ms);
+  EXPECT_EQ(priced.timing.barrier_ms, plain.timing.barrier_ms);
+  ASSERT_EQ(priced.timing.devices.size(), plain.timing.devices.size());
+  for (std::size_t d = 0; d < plain.timing.devices.size(); ++d) {
+    const ShardTiming& a = priced.timing.devices[d];
+    const ShardTiming& b = plain.timing.devices[d];
+    EXPECT_EQ(a.h2d1_ms, b.h2d1_ms);
+    EXPECT_EQ(a.fft1_ms, b.fft1_ms);
+    EXPECT_EQ(a.twiddle_ms, b.twiddle_ms);
+    EXPECT_EQ(a.d2h1_ms, b.d2h1_ms);
+    EXPECT_EQ(a.h2d2_ms, b.h2d2_ms);
+    EXPECT_EQ(a.fft2_ms, b.fft2_ms);
+    EXPECT_EQ(a.d2h2_ms, b.d2h2_ms);
+    EXPECT_EQ(a.exchange_bytes, b.exchange_bytes);
+  }
+  ASSERT_EQ(priced.history.size(), plain.history.size());
+  for (std::size_t d = 0; d < plain.history.size(); ++d) {
+    ASSERT_EQ(priced.history[d].size(), plain.history[d].size());
+    for (std::size_t i = 0; i < plain.history[d].size(); ++i) {
+      EXPECT_EQ(priced.history[d][i].name, plain.history[d][i].name);
+      const sim::LaunchResult& a = priced.history[d][i];
+      const sim::LaunchResult& b = plain.history[d][i];
+      EXPECT_EQ(a.total_ms, b.total_ms);
+      EXPECT_EQ(a.mem_ms, b.mem_ms);
+      EXPECT_EQ(a.compute_ms, b.compute_ms);
+      EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+      EXPECT_EQ(a.coalesced_fraction, b.coalesced_fraction);
+    }
+  }
+  EXPECT_EQ(priced.occurrences, plain.occurrences);
+  EXPECT_EQ(priced.peak, plain.peak);
 }
 
 TEST(ShardedTopology, PeerExchangeSkipsTheHostBridge) {

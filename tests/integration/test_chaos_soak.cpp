@@ -31,17 +31,24 @@ TEST(ChaosSoak, TreeMeshTorusNoSilentWrongAnswers) {
   std::uint64_t quarantines = 0;
   std::uint64_t reinstatements = 0;
   std::uint64_t verify_failures = 0;
-  for (const char* topo : {"tree", "mesh", "torus"}) {
-    ChaosSpec spec;
-    spec.seed = 20081115;
-    spec.requests = 70;
-    spec.topology = topo;
-    const ChaosOutcome out = run_chaos(spec);
-    expect_invariants(out, topo);
-    admitted_total += out.admitted;
-    quarantines += out.report.quarantines;
-    reinstatements += out.report.reinstatements;
-    verify_failures += out.report.verify_failures;
+  // Seed 20081115 spreads its incidents over too many sweep windows to
+  // quarantine anyone once verified batches are priced as the serial
+  // schedule they run; seed 7 (also in the sweep below) concentrates
+  // them, so the pair exercises the whole quarantine loop.
+  for (const std::uint64_t seed : {20081115ULL, 7ULL}) {
+    for (const char* topo : {"tree", "mesh", "torus"}) {
+      ChaosSpec spec;
+      spec.seed = seed;
+      spec.requests = 70;
+      spec.topology = topo;
+      const ChaosOutcome out = run_chaos(spec);
+      expect_invariants(out, std::string(topo) + " seed " +
+                                 std::to_string(seed));
+      admitted_total += out.admitted;
+      quarantines += out.report.quarantines;
+      reinstatements += out.report.reinstatements;
+      verify_failures += out.report.verify_failures;
+    }
   }
   // The acceptance bar: >= 200 admitted mixed-fault requests across the
   // three fabrics, the silent corruption actually detected somewhere,

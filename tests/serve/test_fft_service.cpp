@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "serve/workload.h"
 #include "sim/fault.h"
+#include "sim/topology/pcie_tree.h"
 #include "sim/topology/peer_mesh.h"
 
 namespace repro::serve {
@@ -236,6 +237,37 @@ TEST(FftService, FusesBatchesUpToMaxBatch) {
     EXPECT_GE(c.done_ms, prev);
     prev = c.done_ms;
   }
+}
+
+TEST(FftService, VerifiedBatchesArePricedAsTheSerialScheduleTheyRun) {
+  // Parseval verification makes execute_batch run Serial, so pricing the
+  // shard side as the pipelined schedule would undercharge it. Four
+  // 64^3 volumes on 4 GTX 280s over the PCIe tree: dealing costs about
+  // 4.7 ms, four serial sharded volumes about 6.6 ms.
+  sim::DeviceGroup group(4, sim::geforce_gtx_280(),
+                         std::make_shared<sim::PcieTreeTopology>(4));
+  ServiceConfig cfg;
+  cfg.exec.verify = gpufft::VerifyPolicy::Parseval;
+  FftService service(group, cfg);
+  const std::size_t n = 64;
+  const auto desc = PlanDesc::sharded3d(n, 4, Direction::Forward);
+  std::vector<std::vector<cxf>> volumes;
+  for (std::size_t k = 0; k < 4; ++k) {
+    volumes.push_back(random_complex<float>(n * n * n, 80 + k));
+    FftRequest req;
+    req.id = k;
+    req.desc = desc;
+    req.data = std::span<cxf>(volumes.back());
+    ASSERT_EQ(service.submit(req), Admission::Accepted);
+  }
+  const ServiceReport rep = service.run();
+  ASSERT_EQ(rep.completed, 4u);
+  for (const auto& c : rep.completions) {
+    EXPECT_EQ(c.strategy, gpufft::BatchStrategy::Deal) << "id=" << c.id;
+  }
+  const gpufft::BatchChoice choice =
+      gpufft::choose_batch_strategy(group, desc, 4, cfg.exec);
+  EXPECT_LT(choice.deal_ms, choice.shard_ms);
 }
 
 // ---- SDC defense through the service ----

@@ -1,12 +1,17 @@
 // DeviceGroup: construction, bridge derating, the shared timeline, host
-// staging accounting, and the degenerate group-of-one guarantees.
+// staging accounting, the degenerate group-of-one guarantees, and the
+// timing twin.
 #include "sim/device_group.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
+#include "sim/fault.h"
 #include "sim/pcie.h"
+#include "sim/topology/pcie_tree.h"
+#include "sim/topology/peer_mesh.h"
 
 namespace repro::sim {
 namespace {
@@ -31,25 +36,34 @@ TEST(DeviceGroup, MixedSpecsKeepTheirIdentity) {
 
 TEST(DeviceGroup, BridgeDeratesPerCardPcieBandwidth) {
   const GpuSpec gts = geforce_8800_gts();  // 5.2 / 5.0 GB/s
-  const GroupTopology topo = GroupTopology::pcie2_chipset();  // 12.8 GB/s
+  // The default topology: a PcieTreeTopology on a 12.8 GB/s chipset.
+  const auto tree = [](std::size_t n) {
+    return std::make_shared<PcieTreeTopology>(n);
+  };
 
   // One or two cards: each card's own link is the bottleneck.
   for (std::size_t n : {1u, 2u}) {
-    DeviceGroup group(n, gts, topo);
+    DeviceGroup group(n, gts, tree(n));
     for (std::size_t d = 0; d < n; ++d) {
       EXPECT_DOUBLE_EQ(group.device(d).spec().pcie.h2d_gbs, gts.pcie.h2d_gbs);
       EXPECT_DOUBLE_EQ(group.device(d).spec().pcie.d2h_gbs, gts.pcie.d2h_gbs);
     }
   }
   // Four and eight cards: the shared bridge is, at aggregate/N.
-  DeviceGroup four(4, gts, topo);
+  DeviceGroup four(4, gts, tree(4));
   EXPECT_DOUBLE_EQ(four.device(0).spec().pcie.h2d_gbs, 12.8 / 4.0);
   EXPECT_DOUBLE_EQ(four.device(0).spec().pcie.d2h_gbs, 12.8 / 4.0);
-  DeviceGroup eight(8, gts, topo);
+  DeviceGroup eight(8, gts, tree(8));
   EXPECT_DOUBLE_EQ(eight.device(0).spec().pcie.h2d_gbs, 12.8 / 8.0);
+  // Omitting the topology builds the same tree.
+  DeviceGroup four_default(4, gts);
+  EXPECT_DOUBLE_EQ(four_default.device(0).spec().pcie.h2d_gbs, 12.8 / 4.0);
+  EXPECT_EQ(four_default.topo().kind(), "pcie-tree");
 
-  // An unshared topology never derates.
-  DeviceGroup ideal(8, gts, GroupTopology::unshared());
+  // An unshared bridge never derates.
+  DeviceGroup ideal(8, gts,
+                    std::make_shared<PcieTreeTopology>(8, kUnconstrainedGBs,
+                                                       kUnconstrainedGBs));
   EXPECT_DOUBLE_EQ(ideal.device(0).spec().pcie.h2d_gbs, gts.pcie.h2d_gbs);
 }
 
@@ -156,7 +170,11 @@ TEST(DeviceGroup, GroupOfOneKeepsTheBareDeviceTimeline) {
 TEST(DeviceGroup, RejectsEmptyAndBadTopology) {
   EXPECT_THROW(DeviceGroup(std::vector<GpuSpec>{}), Error);
   EXPECT_THROW(DeviceGroup(0, geforce_8800_gt()), Error);
-  EXPECT_THROW(DeviceGroup(2, geforce_8800_gt(), GroupTopology{0.0, 1.0}),
+  EXPECT_THROW(DeviceGroup(2, geforce_8800_gt(),
+                           std::make_shared<PcieTreeTopology>(2, 0.0, 1.0)),
+               Error);
+  EXPECT_THROW(DeviceGroup(2, geforce_8800_gt(),
+                           std::make_shared<PcieTreeTopology>(3)),
                Error);
 }
 
@@ -245,6 +263,69 @@ TEST(DeviceGroupHealth, ScheduleFallsBackToAliveWhenAllAreQuarantined) {
   const auto sched = group.schedulable_members();
   ASSERT_EQ(sched.size(), 1u);
   EXPECT_EQ(sched[0], 0u);
+}
+
+// ---- Timing twin ----
+
+TEST(TimingTwin, ChargesTransferAndPeerTimeButMovesNoData) {
+  DeviceGroup live(2, geforce_8800_gts(),
+                   std::make_shared<PeerMeshTopology>(2));
+  DeviceGroup& twin = live.timing_twin();
+  EXPECT_TRUE(twin.dry());
+  EXPECT_FALSE(live.dry());
+  ASSERT_EQ(twin.size(), live.size());
+  EXPECT_EQ(&twin.topo(), &live.topo());  // one immutable topology
+  EXPECT_EQ(&live.timing_twin(), &twin);  // built once
+  EXPECT_THROW(twin.timing_twin(), Error);
+
+  // The same ops on the live group and its twin: equal timelines, but
+  // only the live group's buffers receive the payload.
+  const auto run = [](DeviceGroup& g) {
+    for (std::size_t d = 0; d < g.size(); ++d) {
+      EXPECT_EQ(g.device(d).spec(), geforce_8800_gts());
+      EXPECT_EQ(g.device(d).dry(), g.dry());
+    }
+    auto a = g.device(0).alloc<float>(1 << 12);
+    auto b = g.device(1).alloc<float>(1 << 12);
+    std::vector<float> host(a.size());
+    std::iota(host.begin(), host.end(), 1.0f);
+    Stream s0(g.device(0));
+    Stream s1(g.device(1));
+    g.device(0).h2d_async(a, std::span<const float>(host), s0);
+    Stream* exch[] = {&s0, &s1};
+    g.d2d_async(0, 1, a, 0, b, 0, a.size(), s0,
+                std::span<Stream* const>(exch));
+    std::vector<float> back(b.size());
+    g.device(1).d2h_async(std::span<float>(back), b, s1);
+    g.sync_all();
+    return std::make_pair(g.elapsed_ms(), back);
+  };
+  const auto [live_ms, live_back] = run(live);
+  const auto [twin_ms, twin_back] = run(twin);
+  EXPECT_EQ(twin_ms, live_ms);
+  EXPECT_EQ(live_back[7], 8.0f);
+  EXPECT_EQ(twin_back[7], 0.0f);
+  EXPECT_FALSE(twin.any_faults_armed());
+}
+
+TEST(TimingTwin, MirrorsTheLiveSchedulableMembers) {
+  DeviceGroup live(4, geforce_8800_gts());
+  live.faults(3).arm(FaultKind::DeviceLost, 1);
+  EXPECT_THROW(live.device(3).alloc<float>(16), DeviceLostError);
+  // Quarantine member 1 through the scoreboard.
+  live.set_health_policy({1, 1});
+  ++live.device(1).health().transient_retries;
+  live.sweep_health();
+  ASSERT_TRUE(live.quarantined(1));
+
+  DeviceGroup& twin = live.timing_twin();
+  EXPECT_EQ(twin.schedulable_members(), live.schedulable_members());
+  EXPECT_EQ(twin.schedulable_members(), (std::vector<std::size_t>{0, 2}));
+  EXPECT_TRUE(twin.device(3).lost());
+  // Each call re-mirrors: a reinstated member is schedulable again.
+  ASSERT_TRUE(live.note_clean_probe(1));
+  EXPECT_EQ(live.timing_twin().schedulable_members(),
+            (std::vector<std::size_t>{0, 1, 2}));
 }
 
 }  // namespace

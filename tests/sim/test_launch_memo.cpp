@@ -613,5 +613,55 @@ TEST(LaunchMemo, RepeatedShardedExecutesOnAMeshAreAllHits) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Sharing: equal-spec group members use one memo, exactly
+// ---------------------------------------------------------------------
+
+/// The launches of one five-step 32^3 execute on `dev`, from its own
+/// registry, after the same allocation sequence on every device.
+std::vector<LaunchResult> five_step_launches(Device& dev) {
+  auto plan = PlanRegistry::of(dev).get_or_create(
+      PlanDesc::bandwidth3d(cube(32), Direction::Forward));
+  auto buf = dev.alloc<cxf>(plan->buffer_elements());
+  const auto input = random_complex<float>(plan->buffer_elements(), 19);
+  dev.h2d(buf, std::span<const cxf>(input));
+  const std::size_t before = dev.history().size();
+  plan->execute(buf);
+  return {dev.history().begin() + static_cast<std::ptrdiff_t>(before),
+          dev.history().end()};
+}
+
+TEST(LaunchMemoSharing, EqualSpecMembersGetALoneDevicesResults) {
+  sim::DeviceGroup group(4, sim::geforce_8800_gts());
+  Device lone(group.device(0).spec());
+  const std::vector<LaunchResult> ref = five_step_launches(lone);
+  ASSERT_FALSE(ref.empty());
+  for (std::size_t d = 0; d < group.size(); ++d) {
+    SCOPED_TRACE("member " + std::to_string(d));
+    Device& dev = group.device(d);
+    const std::vector<LaunchResult> got = five_step_launches(dev);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) expect_same(got[i], ref[i]);
+    // Member 0 filled the shared memo; the others only hit it.
+    EXPECT_EQ(dev.launch_memo_hits(), d == 0 ? 0u : ref.size());
+    EXPECT_EQ(dev.launch_memo_entries(), group.device(0).launch_memo_entries());
+  }
+}
+
+TEST(LaunchMemoSharing, MixedSpecMembersShareNothing) {
+  sim::DeviceGroup group({sim::geforce_8800_gt(), sim::geforce_8800_gtx()});
+  for (std::size_t d = 0; d < group.size(); ++d) {
+    SCOPED_TRACE("member " + std::to_string(d));
+    Device& dev = group.device(d);
+    Device lone(dev.spec());
+    const std::vector<LaunchResult> ref = five_step_launches(lone);
+    const std::vector<LaunchResult> got = five_step_launches(dev);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) expect_same(got[i], ref[i]);
+    EXPECT_EQ(dev.launch_memo_hits(), 0u);
+    EXPECT_EQ(dev.launch_memo_entries(), lone.launch_memo_entries());
+  }
+}
+
 }  // namespace
 }  // namespace repro::gpufft

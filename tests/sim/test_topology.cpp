@@ -90,31 +90,31 @@ TEST(Topology, TorusBisectionArithmetic) {
 }
 
 TEST(Topology, LinkFifoSerializesConcurrentLegs) {
-  PeerMeshTopology mesh(2);
+  DeviceGroup group(2, geforce_8800_gts(),
+                    std::make_shared<PeerMeshTopology>(2));
   // Two legs ready at t=0 over the same directed wire queue back to back.
-  const double s0 = mesh.reserve_link(0, 1, 0.0, 1.0);
-  const double s1 = mesh.reserve_link(0, 1, 0.0, 1.0);
+  const double s0 = group.reserve_link(0, 1, 0.0, 1.0);
+  const double s1 = group.reserve_link(0, 1, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(s0, 0.0);
   EXPECT_DOUBLE_EQ(s1, 1.0);
   // Full duplex: the reverse direction is independent.
-  EXPECT_DOUBLE_EQ(mesh.reserve_link(1, 0, 0.0, 1.0), 0.0);
-  mesh.reset_links();
-  EXPECT_DOUBLE_EQ(mesh.reserve_link(0, 1, 0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(group.reserve_link(1, 0, 0.0, 1.0), 0.0);
+  // The FIFOs are the group's: its timing twin queues on its own.
+  EXPECT_DOUBLE_EQ(group.timing_twin().reserve_link(0, 1, 0.0, 1.0), 0.0);
 }
 
-TEST(Topology, LegacyGroupTopologyAndPcieTreeDerateIdentically) {
+TEST(Topology, PcieTreeDeratesTheSharedBridge) {
   const GpuSpec gts = geforce_8800_gts();
-  DeviceGroup legacy(4, gts, GroupTopology::pcie2_chipset());
   DeviceGroup tree(4, gts, std::make_shared<PcieTreeTopology>(4));
   for (std::size_t d = 0; d < 4; ++d) {
-    EXPECT_DOUBLE_EQ(legacy.device(d).spec().pcie.h2d_gbs,
-                     tree.device(d).spec().pcie.h2d_gbs);
-    EXPECT_DOUBLE_EQ(legacy.device(d).spec().pcie.d2h_gbs,
-                     tree.device(d).spec().pcie.d2h_gbs);
+    EXPECT_DOUBLE_EQ(tree.device(d).spec().pcie.h2d_gbs, 12.8 / 4.0);
+    EXPECT_DOUBLE_EQ(tree.device(d).spec().pcie.d2h_gbs, 12.8 / 4.0);
   }
   EXPECT_EQ(tree.topo().kind(), "pcie-tree");
-  // The unshared() sentinel keeps full card rate.
-  DeviceGroup ideal(4, gts, GroupTopology::unshared());
+  // The kUnconstrainedGBs sentinel keeps full card rate.
+  DeviceGroup ideal(4, gts,
+                    std::make_shared<PcieTreeTopology>(4, kUnconstrainedGBs,
+                                                       kUnconstrainedGBs));
   EXPECT_DOUBLE_EQ(ideal.device(0).spec().pcie.h2d_gbs, gts.pcie.h2d_gbs);
 }
 
@@ -233,10 +233,10 @@ TEST(Topology, D2dAsyncThrowsWhenARouteDeviceIsLost) {
 TEST(Topology, GroupResetClocksClearsLinkFifos) {
   DeviceGroup group(2, geforce_8800_gts(),
                     std::make_shared<PeerMeshTopology>(2));
-  EXPECT_DOUBLE_EQ(group.topo().reserve_link(0, 1, 0.0, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(group.topo().reserve_link(0, 1, 0.0, 5.0), 5.0);
+  EXPECT_DOUBLE_EQ(group.reserve_link(0, 1, 0.0, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(group.reserve_link(0, 1, 0.0, 5.0), 5.0);
   group.reset_clocks();
-  EXPECT_DOUBLE_EQ(group.topo().reserve_link(0, 1, 0.0, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(group.reserve_link(0, 1, 0.0, 5.0), 0.0);
 }
 
 }  // namespace
