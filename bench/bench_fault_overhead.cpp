@@ -17,7 +17,7 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "gpufft/outofcore.h"
+#include "gpufft/registry.h"
 #include "gpufft/sharded.h"
 #include "sim/fault.h"
 
@@ -44,6 +44,8 @@ int main(int argc, char** argv) {
                 std::to_string(splits) + " splits/shards)");
 
   const auto input = random_complex<float>(n * n * n, 7);
+  const auto out_of_core = gpufft::PlanDesc::out_of_core(
+      n, splits, gpufft::Direction::Forward);
 
   // ---- Part A: disabled injector is free ----
   struct Run {
@@ -58,9 +60,10 @@ int main(int argc, char** argv) {
       dev.faults().arm(FaultKind::TransferTransient, 1);
       dev.faults().disarm_all();
     }
-    gpufft::OutOfCoreFft3D plan(dev, n, splits, gpufft::Direction::Forward);
+    auto plan = gpufft::PlanRegistry::of(dev).get_or_create(out_of_core);
     Run r{config, 0.0, input};
-    r.makespan_ms = plan.execute(std::span<cxf>(r.data)).makespan_ms;
+    plan->execute_host(std::span<cxf>(r.data));
+    r.makespan_ms = plan->last_total_ms();
     return r;
   };
   auto sharded_run = [&](const char* config, bool attach, bool arm) {
@@ -119,11 +122,10 @@ int main(int argc, char** argv) {
           plan.execute(std::span<cxf>(faulty.data)).makespan_ms;
     } else {
       gpufft::Device dev(sim::geforce_8800_gts());
-      gpufft::OutOfCoreFft3D plan(dev, n, splits,
-                                  gpufft::Direction::Forward);
+      auto plan = gpufft::PlanRegistry::of(dev).get_or_create(out_of_core);
       dev.faults().arm(FaultKind::TransferTransient, 3, 2);
-      faulty.makespan_ms =
-          plan.execute(std::span<cxf>(faulty.data)).makespan_ms;
+      plan->execute_host(std::span<cxf>(faulty.data));
+      faulty.makespan_ms = plan->last_total_ms();
     }
     const std::uint64_t retries =
         recovery_counters().transient_retries - before.transient_retries;

@@ -14,8 +14,9 @@
 //   execute_batch       many same-shape volumes back-to-back through one
 //                       plan's resources (per-step times summed)
 //   execute_host        a host-resident volume, staged through a leased
-//                       device buffer (overridden by the out-of-core
-//                       plan, whose volumes never fit on the card)
+//                       device buffer (overridden by the Z-decimated
+//                       plan of sharded.h — out-of-core, sharded or
+//                       dealt — whose volumes never sit whole on a card)
 //   execute_batch_host  many host-resident volumes double-buffered across
 //                       two streams: job i's transform overlaps job
 //                       i+1's upload and job i-1's download wherever the
@@ -87,8 +88,9 @@ class FftPlanT {
       std::span<DeviceBuffer<cx<T>>* const> volumes);
 
   /// Transform a host-resident volume: upload into a leased staging
-  /// buffer, execute, download. The out-of-core plan overrides this with
-  /// its streamed two-phase algorithm.
+  /// buffer, execute, download. ShardedFft3DPlan (out-of-core, sharded
+  /// and dealt kinds) overrides this with its streamed two-phase
+  /// algorithm.
   virtual std::vector<StepTiming> execute_host(std::span<cx<T>> data);
 
   /// Transform many host-resident same-shape volumes, double-buffering
@@ -97,8 +99,8 @@ class FftPlanT {
   /// engines allow: a 1-engine G8x serializes the up/down copies, a
   /// 2-engine part pipelines all three phases. Returned steps are the
   /// per-kernel sums (as execute_batch); last_total_ms() reports the
-  /// overlapped makespan. Overridden by the out-of-core plan, whose
-  /// volumes cannot be staged on the card.
+  /// overlapped makespan. Overridden by ShardedFft3DPlan, whose volumes
+  /// cannot be staged whole on a card.
   virtual std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cx<T>>> volumes);
 

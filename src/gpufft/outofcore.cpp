@@ -1,12 +1,8 @@
 #include "gpufft/outofcore.h"
 
-#include <algorithm>
 #include <string>
 
-#include "fft/factor.h"
-#include "gpufft/cache.h"
-#include "gpufft/registry.h"
-#include "gpufft/staging.h"
+#include "gpufft/smallfft.h"
 
 namespace repro::gpufft {
 
@@ -109,204 +105,6 @@ void SlabTwiddleKernel::run_block(sim::BlockCtx& ctx) {
       d.store(t, i, roots_n_[residue_ * kz] * d.load(t, i));
     }
   });
-}
-
-namespace {
-
-/// The TuneConfig slab-depth knob overrides the plan's `splits` when set.
-std::size_t effective_splits(std::size_t splits, const TuneConfig& tune) {
-  return tune.slab_depth != 0 ? tune.slab_depth : splits;
-}
-
-/// Inner slab-FFT description: carries the tuned knobs, but not the slab
-/// decimation itself (the slab plan must not re-decimate). dense3d routes
-/// a non-pow2 slab to the mixed-radix plan; the pitch knob is cleared
-/// because the streamed staging copies assume densely packed slabs.
-PlanDesc slab_plan_desc(Shape3 slab, Direction dir, TuneConfig tune) {
-  tune.slab_depth = 0;
-  tune.pitch = PitchMode::Dense;
-  PlanDesc d = PlanDesc::dense3d(slab, dir, Precision::F32);
-  d.tune = tune;
-  return d;
-}
-
-}  // namespace
-
-OutOfCoreFft3D::OutOfCoreFft3D(Device& dev, std::size_t n, std::size_t splits,
-                               Direction dir, TuneConfig tune)
-    : PlanBaseT<float>(
-          dev, PlanDesc::out_of_core(n, effective_splits(splits, tune), dir)),
-      opt_(tune),
-      n_(n),
-      splits_(effective_splits(splits, tune)),
-      slab_shape_{n, n, n / splits_},
-      slab_plan_(PlanRegistry::of(dev).get_or_create(
-          slab_plan_desc(slab_shape_, dir, tune))),
-      host_work_(n * n * n) {
-  REPRO_CHECK_MSG(n % splits_ == 0,
-                  "out-of-core splits must divide n; got n=" +
-                      fft::describe_size(n) + " splits=" +
-                      std::to_string(splits_));
-  REPRO_CHECK_MSG(splits_ >= 2 && splits_ <= kMaxFactor,
-                  "splits must be a supported small-FFT factor");
-  REPRO_CHECK_MSG(is_pow2(splits_),
-                  "the z decimation runs one power-of-two small-FFT rank "
-                  "across slabs; got splits=" + std::to_string(splits_) +
-                      " (any n that such a split divides is fine — the "
-                      "slab itself may be non-pow2)");
-  desc_.tune = tune;
-}
-
-std::vector<StepTiming> OutOfCoreFft3D::execute_impl(DeviceBuffer<cxf>&) {
-  REPRO_FAIL(
-      "out-of-core plans transform host-resident volumes that exceed device "
-      "memory; use execute_host()");
-}
-
-OutOfCoreTiming OutOfCoreFft3D::execute(std::span<cxf> host_data) {
-  return with_plan_context(desc_, [&] {
-    return verified_span_run<float>(dev_, this->exec_policy(), desc_,
-                                    host_data,
-                                    [&] { return execute_impl(host_data); });
-  });
-}
-
-OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
-  REPRO_CHECK(host_data.size() == n_ * n_ * n_);
-  const std::size_t plane = n_ * n_;
-  const std::size_t local_nz = n_ / splits_;
-  const unsigned grid = opt_.grid_for(dev_.spec());
-  const StagePolicy& sp = this->exec_policy().staging;
-
-  // Phase 1 stages n/splits planes, phase 2 stages `splits` planes; two
-  // arena leases (held only for the duration of the run) double-buffer
-  // the slabs so adjacent iterations can overlap across two streams.
-  const std::size_t slab_elems = plane * std::max(local_nz, splits_);
-  auto ws0 = ResourceCache::of(dev_).lease<float>(slab_elems);
-  auto ws1 = ResourceCache::of(dev_).lease<float>(slab_elems);
-  DeviceBuffer<cxf>* slabs[2] = {&ws0.buffer(), &ws1.buffer()};
-  sim::Stream stream0(dev_);
-  sim::Stream stream1(dev_);
-  sim::Stream* streams[2] = {&stream0, &stream1};
-
-  const double start_ms = dev_.elapsed_ms();
-  OutOfCoreTiming timing;
-
-  // ---- Phase 1: per Z residue, slab FFT + twiddle ----
-  // Residue r runs on stream r%2 and slab r%2; slab reuse by residue r+2
-  // is ordered behind residue r's receive by the stream itself.
-  for (std::size_t residue = 0; residue < splits_; ++residue) {
-    sim::Stream& s = *streams[residue % 2];
-    auto& slab = *slabs[residue % 2];
-    for (std::size_t j = 0; j < local_nz; ++j) {
-      const std::size_t z = residue + splits_ * j;
-      const std::span<const cxf> src = host_data.subspan(z * plane, plane);
-      timing.h2d1_ms += staged_h2d(dev_, slab, src, &s, j * plane, sp);
-    }
-
-    for (const auto& step : slab_plan_->execute_async(slab, s)) {
-      timing.fft1_ms += step.ms;
-    }
-
-    SlabTwiddleKernel tw(slab, slab_shape_, n_, residue, desc_.dir, grid, 0,
-                         opt_.threads_per_block);
-    timing.twiddle_ms += dev_.launch_async(tw, s).total_ms;
-
-    for (std::size_t k = 0; k < local_nz; ++k) {
-      const std::size_t z = residue + splits_ * k;
-      timing.d2h1_ms += staged_d2h(
-          dev_, std::span<cxf>(host_work_).subspan(z * plane, plane), slab,
-          &s, k * plane, sp);
-    }
-  }
-
-  // Phase boundary: every phase-2 group gathers one plane from each
-  // phase-1 residue, so both streams fence on both timelines.
-  sim::Event phase1_done0;
-  sim::Event phase1_done1;
-  stream0.record(phase1_done0);
-  stream1.record(phase1_done1);
-  stream0.wait(phase1_done1);
-  stream1.wait(phase1_done0);
-
-  // ---- Phase 2: splits-point FFTs across the residues ----
-  const Shape3 pencil_slab{n_, n_, splits_};
-  for (std::size_t k = 0; k < local_nz; ++k) {
-    sim::Stream& s = *streams[k % 2];
-    auto& slab = *slabs[k % 2];
-    timing.h2d2_ms += staged_h2d(
-        dev_, slab,
-        std::span<const cxf>(host_work_)
-            .subspan(splits_ * k * plane, splits_ * plane),
-        &s, /*dst_offset=*/0, sp);
-
-    ZPencilFftKernel fft(slab, pencil_slab, desc_.dir, grid, 0,
-                         opt_.threads_per_block);
-    timing.fft2_ms += dev_.launch_async(fft, s).total_ms;
-
-    for (std::size_t k2 = 0; k2 < splits_; ++k2) {
-      const std::size_t z = k + local_nz * k2;
-      timing.d2h2_ms += staged_d2h(dev_, host_data.subspan(z * plane, plane),
-                                   slab, &s, k2 * plane, sp);
-    }
-  }
-
-  dev_.sync(stream0);
-  dev_.sync(stream1);
-  timing.makespan_ms = dev_.elapsed_ms() - start_ms;
-  last_timing_ = timing;
-  last_total_ms_ = timing.makespan_ms;
-  return timing;
-}
-
-std::vector<StepTiming> OutOfCoreFft3D::execute_host(std::span<cxf> data) {
-  const OutOfCoreTiming t = execute(data);
-  const double bytes = static_cast<double>(n_ * n_ * n_) * sizeof(cxf);
-  auto row = [&](const char* name, double ms) {
-    // Each phase touches the full volume once in each direction.
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
-  };
-  std::vector<StepTiming> steps{
-      row("phase1 send", t.h2d1_ms),    row("phase1 slab FFT", t.fft1_ms),
-      row("phase1 twiddle", t.twiddle_ms), row("phase1 receive", t.d2h1_ms),
-      row("phase2 send", t.h2d2_ms),    row("phase2 pencil FFT", t.fft2_ms),
-      row("phase2 receive", t.d2h2_ms),
-  };
-  finish(steps);
-  // The rows report the schedule-independent Table 12 sums; the cost of
-  // the run is the overlapped makespan the stream scheduler resolved.
-  last_total_ms_ = t.makespan_ms;
-  return steps;
-}
-
-std::vector<StepTiming> OutOfCoreFft3D::execute_batch_host(
-    std::span<const std::span<cxf>> volumes) {
-  REPRO_CHECK(!volumes.empty());
-  // Each volume exceeds device memory, so volumes cannot double-buffer
-  // against each other; every run already overlaps internally.
-  const double t0 = dev_.elapsed_ms();
-  std::vector<StepTiming> total;
-  std::vector<double> traffic;
-  for (const auto& volume : volumes) {
-    const auto steps = execute_host(volume);
-    if (total.empty()) {
-      total = steps;
-      traffic.resize(steps.size());
-      for (std::size_t i = 0; i < steps.size(); ++i) {
-        traffic[i] = steps[i].gbs * steps[i].ms;
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      total[i].ms += steps[i].ms;
-      traffic[i] += steps[i].gbs * steps[i].ms;
-    }
-  }
-  for (std::size_t i = 0; i < total.size(); ++i) {
-    total[i].gbs = total[i].ms > 0.0 ? traffic[i] / total[i].ms : 0.0;
-  }
-  last_total_ms_ = dev_.elapsed_ms() - t0;
-  return total;
 }
 
 }  // namespace repro::gpufft

@@ -1,35 +1,15 @@
-// Section 3.3: 3-D FFTs larger than the device memory.
-//
-// An n^3 volume (n = 512 in the paper) that cannot fit on the card is
-// processed in two streamed phases over PCI-Express, decimating the Z axis
-// into `splits` interleaved slabs (8 for 512^3):
-//
-//   Phase 1, for each residue I in [0, splits):
-//     1A. send the n x n x (n/splits) slab of planes z = I + splits*j
-//     1B. 3-D FFT of the slab (full X and Y, n/splits-point partial Z)
-//     1C. multiply the inter-rank twiddles W_n^(I * k')
-//     1D. receive the slab into WORK at planes z' = I + splits*k'
-//   Phase 2, for each k' in [0, n/splits):
-//     2A. send the `splits` contiguous planes starting at splits*k'
-//     2B. splits-point FFTs along Z for every (x, y) ("1 x 1 x 8 FFTs")
-//     2C. receive into the result at planes z = k' + (n/splits)*k''
-//
-// The data crosses the PCIe link twice in each direction, which is what
-// Table 12 quantifies.
-//
-// The slabs are streamed: two slab buffers, two sim::Streams, residues
-// (and phase-2 groups) alternating between them, so slab r+1's upload and
-// slab r-1's download overlap slab r's on-card FFT wherever the card's
-// copy engines allow (Section 4.4 asynchronous transfers). Events fence
-// the phase-1 -> phase-2 boundary, since every phase-2 group gathers
-// planes produced by all phase-1 residues. The per-bucket duration sums
-// (Table 12 rows) are schedule-independent; `makespan_ms` carries the
-// overlapped wall-clock the scheduler resolved.
+// The two kernels of the Section 3.3 Z-decimation that only the streamed
+// schedule needs: the inter-rank twiddle of step 1C and the splits-point
+// Z-pencil FFTs of step 2B. The schedule itself — out-of-core on one
+// card, sharded across a group, or dealt a volume per card — is
+// ShardedFft3DPlan (sharded.h); PlanDesc::out_of_core builds it on one
+// card through the PlanRegistry.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
-#include "gpufft/fft_plan.h"
 #include "gpufft/plan.h"
 #include "gpufft/types.h"
 
@@ -80,70 +60,6 @@ class SlabTwiddleKernel final : public sim::Kernel {
   unsigned grid_;
   std::size_t offset_;
   unsigned threads_;
-};
-
-/// Phase-level timing breakdown (Table 12 columns). The buckets sum each
-/// operation's duration and so are independent of the overlap schedule;
-/// makespan_ms is the streamed wall-clock (<= total_ms() exactly when the
-/// scheduler found overlap).
-struct OutOfCoreTiming {
-  double h2d1_ms{}, fft1_ms{}, twiddle_ms{}, d2h1_ms{};
-  double h2d2_ms{}, fft2_ms{}, d2h2_ms{};
-  double makespan_ms{};  ///< overlapped elapsed time of the whole run
-  [[nodiscard]] double total_ms() const {
-    return h2d1_ms + fft1_ms + twiddle_ms + d2h1_ms + h2d2_ms + fft2_ms +
-           d2h2_ms;
-  }
-};
-
-/// Out-of-core 3-D FFT of a host-resident cube of side n, streaming slabs
-/// of n/splits planes through the device. Transforms `host_data` in
-/// place. As an FftPlan it supports execute_host only — the volume never
-/// fits on the card, so execute(DeviceBuffer&) fails by design. The slab
-/// staging buffer is leased from the cache arena per run; the inner slab
-/// plan is shared through the registry.
-class OutOfCoreFft3D final : public PlanBaseT<float> {
- public:
-  /// `splits` must divide n; the slab (2 buffers) must fit on the card.
-  /// A non-zero tune.slab_depth overrides `splits` (the TuneConfig knob).
-  OutOfCoreFft3D(Device& dev, std::size_t n, std::size_t splits,
-                 Direction dir, TuneConfig tune = {});
-
-  OutOfCoreTiming execute(std::span<cxf> host_data);
-  /// Re-expose the device-resident entry point the span overload hides.
-  using FftPlanT<float>::execute;
-
-  /// Unsupported: the whole point of this plan is that the volume does
-  /// not fit in device memory.
-  std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
-
-  /// The FftPlan host entry point (phase-level rows of Table 12).
-  /// last_total_ms() afterwards reports the overlapped makespan.
-  std::vector<StepTiming> execute_host(std::span<cxf> data) override;
-
-  /// Many cubes: volumes never fit on the card, so the batch is the
-  /// streamed execute_host per volume (each already overlaps internally).
-  std::vector<StepTiming> execute_batch_host(
-      std::span<const std::span<cxf>> volumes) override;
-
-  [[nodiscard]] std::size_t n() const { return n_; }
-  [[nodiscard]] std::size_t splits() const { return splits_; }
-
-  /// Phase breakdown of the last execute()/execute_host().
-  [[nodiscard]] const OutOfCoreTiming& last_timing() const {
-    return last_timing_;
-  }
-
- private:
-  OutOfCoreTiming execute_impl(std::span<cxf> host_data);
-
-  TuneConfig opt_;
-  std::size_t n_;
-  std::size_t splits_;
-  Shape3 slab_shape_;
-  std::shared_ptr<FftPlan> slab_plan_;
-  sim::LazyZeroVector<cxf> host_work_;
-  OutOfCoreTiming last_timing_{};
 };
 
 }  // namespace repro::gpufft

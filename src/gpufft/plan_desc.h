@@ -25,11 +25,11 @@ enum class PlanKind {
   Naive3D,         ///< CUFFT 1.1-class baseline (naive.h)
   Bandwidth2D,     ///< three-launch 2-D plan (plan2d.h)
   Batch1D,         ///< batched fine-grained 1-D lines (batch1d.h, Table 8)
-  OutOfCore,       ///< host-resident streamed 3-D FFT (outofcore.h)
+  OutOfCore,       ///< host-resident streamed 3-D FFT, one card (sharded.h)
   Convolution,     ///< FFT convolution/correlation pipeline (convolution.h)
   Sharded3D,       ///< multi-device Z-decimated 3-D FFT (sharded.h)
   Real3D,          ///< r2c/c2r five-step plan, half-spectrum (real3d.h)
-  BatchSharded3D,  ///< whole volumes dealt to group members (batch_sharded.h)
+  BatchSharded3D,  ///< whole volumes dealt to group members (sharded.h)
   Mixed3D,         ///< arbitrary-size mixed-radix/Bluestein plan (mixed3d.h)
 };
 
@@ -279,8 +279,8 @@ struct PlanDesc {
   /// — no inter-device exchange at all; each member runs the single-card
   /// out-of-core schedule with decimation `shards`, so results are
   /// bit-identical to sharded3d of the same (n, shards, dir). Only
-  /// constructible through a group-attached PlanRegistry. The batch front
-  /// door is BatchShardedFft3DPlan::execute_batch.
+  /// constructible through a group-attached PlanRegistry; the plan is a
+  /// ShardedFft3DPlan whose every entry point deals.
   static PlanDesc batch_sharded3d(std::size_t n, std::size_t shards,
                                   Direction dir) {
     PlanDesc d;

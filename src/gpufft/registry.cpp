@@ -6,11 +6,9 @@
 #include <sstream>
 
 #include "gpufft/batch1d.h"
-#include "gpufft/batch_sharded.h"
 #include "gpufft/conventional3d.h"
 #include "gpufft/mixed3d.h"
 #include "gpufft/naive.h"
-#include "gpufft/outofcore.h"
 #include "gpufft/plan.h"
 #include "gpufft/plan2d.h"
 #include "gpufft/real3d.h"
@@ -54,21 +52,20 @@ std::shared_ptr<FftPlanT<T>> make_plan(Device& dev, const PlanDesc& desc,
         return std::make_shared<NaiveFft3D>(dev, desc.shape, desc.dir,
                                             desc.tune.grid_blocks);
       case PlanKind::OutOfCore:
-        return std::make_shared<OutOfCoreFft3D>(
-            dev, desc.shape.nx, desc.splits, desc.dir, desc.tune);
+        // One card: a bare device's plan borrows it as a group of one; a
+        // group's deals each volume to one member.
+        if (group == nullptr) {
+          return std::make_shared<ShardedFft3DPlan>(dev, desc);
+        }
+        return std::make_shared<ShardedFft3DPlan>(*group, desc);
       case PlanKind::Sharded3D:
+      case PlanKind::BatchSharded3D:
         REPRO_CHECK_MSG(group != nullptr,
                         "sharded plans span a device fleet; obtain them "
                         "through PlanRegistry::of(sim::DeviceGroup&)");
-        // One executor for both layouts: the description's Layout picks
-        // the plane codec (half-spectrum shards move half the bytes).
+        // One executor for every Z-decimated kind and both layouts: the
+        // kind picks shard or deal, the Layout the plane codec.
         return std::make_shared<ShardedFft3DPlan>(*group, desc);
-      case PlanKind::BatchSharded3D:
-        REPRO_CHECK_MSG(group != nullptr,
-                        "batch-sharded plans span a device fleet; obtain "
-                        "them through PlanRegistry::of(sim::DeviceGroup&)");
-        return std::make_shared<BatchShardedFft3DPlan>(
-            *group, desc.shape.nx, desc.splits, desc.dir, desc.tune);
       default:
         REPRO_FAIL(
             "convolution plans hold a resident filter; construct "

@@ -18,6 +18,18 @@
 namespace repro::gpufft {
 namespace {
 
+/// The members a run may schedule onto. A group with none left raises
+/// the typed DeviceLostError the recovery layers above handle.
+std::vector<std::size_t> schedulable_or_lost(const sim::DeviceGroup& group) {
+  std::vector<std::size_t> members = group.schedulable_members();
+  if (members.empty()) {
+    sim::DeviceLostError e(group.device(0).device_ref());
+    e.add_context("every device in the group has been lost");
+    throw e;
+  }
+  return members;
+}
+
 /// Largest prefix of `alive` whose size divides both phase extents
 /// (shards for phase 1, n/shards for phase 2). Size 1 always qualifies —
 /// a single survivor runs the out-of-core schedule on one card.
@@ -57,8 +69,7 @@ bool peer_route_ok(const sim::Topology& topo, const sim::DeviceGroup* group,
 /// (py >= 2 a divisor of n) that is fully peer-routable; anything else
 /// falls back to the slab prefix rule, with the exchange going direct
 /// when the fabric can route it and through host staging otherwise. A
-/// single member is always host-staged — that degenerate path is pinned
-/// to the out-of-core timeline by test.
+/// single member is always host-staged: the out-of-core schedule.
 struct ResolvedShard {
   std::vector<std::size_t> members;
   ShardLayout layout;
@@ -98,7 +109,7 @@ ResolvedShard resolve_shard(const sim::Topology& topo,
   return r;
 }
 
-/// Device-loss failover shared by both sharded plans: run the schedule
+/// Device-loss failover of a sharded run: run the schedule
 /// over the resolved members, and when a card dies mid-run restore the
 /// input from the snapshot, re-resolve the layout over the survivors
 /// (possibly dropping from pencil to slab, or from peer legs to host
@@ -111,9 +122,7 @@ ResolvedShard resolve_shard(const sim::Topology& topo,
 template <typename ResolveFn, typename RunFn>
 ShardedTiming run_with_failover(sim::DeviceGroup& group, std::span<cxf> data,
                                 ResolveFn&& resolve, RunFn&& run) {
-  ResolvedShard r = resolve(group.schedulable_members());
-  REPRO_CHECK_MSG(!r.members.empty(),
-                  "every device in the group has been lost");
+  ResolvedShard r = resolve(schedulable_or_lost(group));
   std::vector<cxf> snapshot;
   if (group.any_faults_armed()) snapshot.assign(data.begin(), data.end());
   for (;;) {
@@ -140,7 +149,9 @@ std::size_t effective_shards(std::size_t shards, const TuneConfig& tune) {
 /// keeps that region's energy within the scale-free pass bound. Runs
 /// after the group drains, so a phase-2 KernelCorrupt is caught with the
 /// producing member attributed before the wrapper's end-to-end check
-/// would blame the plan's primary device.
+/// would blame the plan's primary device. Like the per-residue guard it
+/// only runs when phase 1 spans several members: a one-card run has
+/// nobody else to blame.
 void verify_phase2_regions(sim::DeviceGroup& group,
                            const std::vector<std::size_t>& members,
                            const ShardLayout& layout, const PlaneCodec& codec,
@@ -235,10 +246,20 @@ ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
         return d;
       }()) {}
 
+ShardedFft3DPlan::ShardedFft3DPlan(Device& dev, const PlanDesc& desc)
+    : ShardedFft3DPlan(std::make_unique<sim::DeviceGroup>(dev), desc) {}
+
+ShardedFft3DPlan::ShardedFft3DPlan(std::unique_ptr<sim::DeviceGroup> own,
+                                   const PlanDesc& desc)
+    : ShardedFft3DPlan(*own, desc) {
+  own_group_ = std::move(own);
+}
+
 ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group,
                                    const PlanDesc& desc)
     : PlanBaseT<float>(group.device(0), effective_desc(desc)),
       group_(&group),
+      dealt_(desc.kind != PlanKind::Sharded3D),
       opt_(desc.tune),
       n_(desc.shape.nx),
       shards_(desc_.splits),
@@ -248,10 +269,19 @@ ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group,
       c2r_(desc.layout == Layout::RealHalfSpectrum &&
            desc.dir == Direction::Inverse),
       slab_shape_{n_, n_, n_ / shards_},
-      host_work_(desc_.buffer_elements()),
-      staging_lease_(group, desc_.buffer_elements() * sizeof(cxf)) {
-  REPRO_CHECK_MSG(desc.kind == PlanKind::Sharded3D && desc.shape == cube(n_),
-                  "sharded plans transform Sharded3D cubes; got " +
+      host_work_(dealt_ ? 0 : desc_.buffer_elements()),
+      // Dealt kinds stage per member, outside the group's staging count.
+      staging_lease_(dealt_ ? sim::DeviceGroup::HostStagingLease()
+                            : sim::DeviceGroup::HostStagingLease(
+                                  group, desc_.buffer_elements() *
+                                             sizeof(cxf))),
+      dealt_work_(group.size()) {
+  REPRO_CHECK_MSG((desc.kind == PlanKind::Sharded3D ||
+                   desc.kind == PlanKind::BatchSharded3D ||
+                   desc.kind == PlanKind::OutOfCore) &&
+                      desc.shape == cube(n_),
+                  "Z-decimated plans transform Sharded3D, BatchSharded3D or "
+                  "OutOfCore cubes; got " +
                       desc.to_string());
   REPRO_CHECK_MSG(n_ % shards_ == 0,
                   "shards must divide n; got n=" + fft::describe_size(n_) +
@@ -300,8 +330,9 @@ ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group,
              : PlanDesc::dense3d(slab_shape_, desc.dir, Precision::F32),
         desc.tune));
   }
-  // Plans built on a timing twin are the pricing; they never price.
-  if (!group.dry()) decomp_ = choose_decomposition(group, desc_);
+  // Plans built on a timing twin are the pricing; they never price. A
+  // dealt run is one card, so only sharded kinds choose.
+  if (!dealt_ && !group.dry()) decomp_ = choose_decomposition(group, desc_);
 }
 
 void ShardedFft3DPlan::set_decomposition(Decomposition d) {
@@ -319,6 +350,10 @@ std::vector<StepTiming> ShardedFft3DPlan::execute_impl(DeviceBuffer<cxf>&) {
 
 ShardedTiming ShardedFft3DPlan::execute(std::span<cxf> host_data) {
   REPRO_CHECK(host_data.size() == buffer_elements());
+  if (dealt_) {
+    const std::span<cxf> one[] = {host_data};
+    return deal_batch(one).total;
+  }
   return with_plan_context(desc_, [&] {
     return verified_span_run<float>(
         this->device(), this->exec_policy(), desc_, host_data, [&] {
@@ -330,7 +365,7 @@ ShardedTiming ShardedFft3DPlan::execute(std::span<cxf> host_data) {
               },
               [&](const std::vector<std::size_t>& members,
                   const ShardLayout& layout) {
-                return run_on(members, layout, host_data);
+                return run_on(members, layout, host_data, false);
               });
         });
   });
@@ -435,7 +470,10 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
   const std::size_t py = ctx.layout.y_blocks;
   const std::size_t ny = n_ / py;
   const StagePolicy& sp = this->exec_policy().staging;
-  const bool verify = this->exec_policy().verify != VerifyPolicy::Off;
+  // The per-residue guard attributes a corrupt pass to one of several
+  // members before the exchange spreads it; a one-card run skips it.
+  const bool verify =
+      this->exec_policy().verify != VerifyPolicy::Off && nm1 > 1;
   auto charge = [&timing](const std::vector<sim::PeerLeg>& legs) {
     for (const auto& leg : legs) {
       timing.devices[leg.from].d2h1_ms += leg.dur_ms;
@@ -580,13 +618,22 @@ void ShardedFft3DPlan::enqueue_phase2(VolumeCtx& ctx,
   const bool peer = ctx.layout.exchange == Exchange::Peer;
   const StagePolicy& sp = this->exec_policy().staging;
 
-  if (!peer) {
+  if (nm == 1) {
+    // One card (always host-staged): each stream waits on an event at the
+    // other's tail — the out-of-core fence, kept in the streams' own
+    // nanoseconds.
+    sim::Event done[2];
+    for (std::size_t i = 0; i < 2; ++i) ctx.stream(0, i).record(done[i]);
+    for (std::size_t i = 0; i < 2; ++i) ctx.stream(0, i).wait(done[1 - i]);
+    timing.barrier_ms =
+        std::max({vol_start_ms, done[0].time_ms(), done[1].time_ms()}) -
+        vol_start_ms;
+  } else if (!peer) {
     // Group-wide phase boundary: every phase-2 group gathers one plane
     // from each phase-1 residue — i.e. from every card — so all streams
     // fence at the maximum stream tail. The members share one time
     // origin, which is what makes the absolute wait_until meaningful
-    // across devices; for a group of one this degenerates to the
-    // out-of-core event pair exactly.
+    // across devices.
     double barrier = vol_start_ms;
     for (const auto& s : ctx.streams) {
       barrier = std::max(barrier, s->ready_ms());
@@ -707,24 +754,41 @@ void ShardedFft3DPlan::enqueue_phase2(VolumeCtx& ctx,
 
 ShardedTiming ShardedFft3DPlan::run_on(
     const std::vector<std::size_t>& members, const ShardLayout& layout,
-    std::span<cxf> host_data) {
-  const bool verify = this->exec_policy().verify != VerifyPolicy::Off;
+    std::span<cxf> host_data, bool dealt) {
+  const bool verify = this->exec_policy().verify != VerifyPolicy::Off &&
+                      layout.phase1_members > 1;
   const double e_in =
       verify ? span_energy<float>(std::span<const cxf>(host_data)) : 0.0;
+  // A dealt run keeps to its member's clock and drains only that member,
+  // so volumes dealt to the other members overlap it.
+  Device* const card = dealt ? &group_->device(members.front()) : nullptr;
+  const auto now = [&] {
+    return card != nullptr ? card->elapsed_ms() : group_->elapsed_ms();
+  };
+  std::span<cxf> work = host_work_;
+  if (dealt) {
+    auto& own = dealt_work_[members.front()];
+    if (own.empty()) own.resize(buffer_elements());
+    work = own;
+  }
   auto ctx = make_ctx(members, layout);
-  const double start_ms = group_->elapsed_ms();
+  const double start_ms = now();
   ShardedTiming timing;
   // Buckets stay indexed by group ordinal (stable reporting across
   // failovers); a lost card simply keeps zero rows.
   timing.devices.resize(group_->size());
-  enqueue_phase1(*ctx, host_data, host_work_, timing);
-  enqueue_phase2(*ctx, host_data, host_work_, start_ms, timing);
-  group_->sync_all();
+  enqueue_phase1(*ctx, host_data, work, timing);
+  enqueue_phase2(*ctx, host_data, work, start_ms, timing);
+  if (card != nullptr) {
+    card->sync_all();
+  } else {
+    group_->sync_all();
+  }
   if (verify) {
     verify_phase2_regions(*group_, members, layout, codec_, shards_,
                           host_data, e_in);
   }
-  timing.makespan_ms = group_->elapsed_ms() - start_ms;
+  timing.makespan_ms = now() - start_ms;
   last_layout_ = layout;
   last_timing_ = timing;
   last_total_ms_ = timing.makespan_ms;
@@ -790,6 +854,7 @@ double ShardedBatchTiming::compute_occupancy() const {
 
 ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     std::span<const std::span<cxf>> volumes, BatchMode mode) {
+  if (dealt_) return deal_batch(volumes);
   REPRO_CHECK(!volumes.empty());
   for (const auto& v : volumes) REPRO_CHECK(v.size() == buffer_elements());
   // Verified batches drain serially: the pipelined interleave keeps
@@ -830,6 +895,50 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
   });
 }
 
+ShardedBatchTiming ShardedFft3DPlan::deal_batch(
+    std::span<const std::span<cxf>> volumes) {
+  REPRO_CHECK(!volumes.empty());
+  for (const auto& v : volumes) REPRO_CHECK(v.size() == buffer_elements());
+  return with_plan_context(desc_, [&] {
+    std::vector<std::size_t> alive = schedulable_or_lost(*group_);
+    const double t0 = group_->elapsed_ms();
+    const bool armed = group_->any_faults_armed();
+    ShardedBatchTiming bt;
+    bt.total.devices.resize(group_->size());
+    std::vector<cxf> snapshot;
+    std::size_t next = 0;
+    for (const std::span<cxf> data : volumes) {
+      // Phase 2 overwrites `data` in place, so only an armed injector
+      // can leave a volume torn — snapshot only then.
+      if (armed) snapshot.assign(data.begin(), data.end());
+      for (;;) {
+        const std::size_t d = alive[next++ % alive.size()];
+        try {
+          const std::vector<std::size_t> member{d};
+          accumulate(bt.total,
+                     verified_span_run<float>(
+                         group_->device(d), this->exec_policy(), desc_, data,
+                         [&] { return run_on(member, {}, data, true); }));
+          bt.volume_member.push_back(d);
+          bt.volume_done_ms.push_back(group_->device(d).elapsed_ms() - t0);
+          break;
+        } catch (const sim::DeviceLostError&) {
+          alive = group_->schedulable_members();
+          if (alive.empty() || snapshot.empty()) throw;
+          ++recovery_counters().device_lost_failovers;
+          std::copy(snapshot.begin(), snapshot.end(), data.begin());
+          // Re-deal this volume to the next survivor in rotation.
+        }
+      }
+    }
+    bt.makespan_ms = group_->elapsed_ms() - t0;
+    bt.total.makespan_ms = bt.makespan_ms;
+    last_timing_ = bt.total;
+    last_total_ms_ = bt.makespan_ms;
+    return bt;
+  });
+}
+
 ShardedBatchTiming ShardedFft3DPlan::run_pipelined(
     std::span<const std::span<cxf>> volumes, std::size_t lookahead) {
   REPRO_CHECK(lookahead < kPipelineContexts);
@@ -843,9 +952,7 @@ ShardedBatchTiming ShardedFft3DPlan::run_pipelined(
     return resolve_shard(group_->topo(), group_, std::move(alive), n_,
                          shards_, decomp_);
   };
-  ResolvedShard shard = resolve(group_->schedulable_members());
-  REPRO_CHECK_MSG(!shard.members.empty(),
-                  "every device in the group has been lost");
+  ResolvedShard shard = resolve(schedulable_or_lost(*group_));
   // Peer exchanges stage on the cards (the per-ctx receive buffers), so
   // the extra host staging volumes are only grown for host-staged runs
   // — including a mid-batch failover that falls back to host staging.

@@ -1,34 +1,57 @@
-// Multi-device 3-D FFT: the Section 3.3 Z-decimation sharded across a
-// sim::DeviceGroup.
+// The Section 3.3 Z-decimation on one card or sharded across a
+// sim::DeviceGroup — the library's one executor of that schedule.
 //
 // The out-of-core algorithm splits an n^3 volume into `splits` interleaved
 // Z slabs that stream over PCIe; "one card, eight slabs" generalizes to
 // "N cards, splits/N slabs each":
 //
-//   Phase 1 (device d = I mod N, residue I):   as out-of-core steps 1A-1D
+//   Phase 1 (device d = I mod N, residue I):
+//     1A. send the n x n x (n/splits) slab of planes z = I + splits*j
+//     1B. 3-D FFT of the slab (full X and Y, n/splits-point partial Z)
+//     1C. multiply the inter-rank twiddles W_n^(I * k')
+//     1D. receive the slab into the exchange at planes z' = I + splits*k'
 //   all-to-all exchange:                        host-staged or peer legs
-//   Phase 2 (device e, groups k' in e's block): as out-of-core steps 2A-2C
+//   Phase 2 (device e, groups k' in e's block):
+//     2A. send the `splits` contiguous planes starting at splits*k'
+//     2B. splits-point FFTs along Z for every (x, y) ("1 x 1 x 8 FFTs")
+//     2C. receive into the result at planes z = k' + (n/splits)*k''
 //
 // Every phase-2 group gathers one plane from each residue, i.e. from
 // every card. On a PCIe tree (the default; G8x cards had no peer path)
 // that all-to-all is host-staged: phase 1's downloads land in one host
 // work volume that phase 2's uploads read back, so the exchange IS the
-// d2h1/h2d2 traffic, behind one group-wide barrier. On peer fabrics
-// (mesh, torus) each residue's planes leave the producer as
-// DeviceGroup::d2d_async legs in ring order into per-member receive
-// buffers, phase 2 runs there in place, and each member starts when its
-// own receives (a per-member Event) and phase-1 tails are done. Peer
-// fabrics also allow the *pencil* decomposition: each member owns one
-// (plane group, Y block) unit, so N grows past min(shards, local_nz);
-// choose_decomposition (planner.h) prices slab against pencil.
+// d2h1/h2d2 traffic, behind one group-wide barrier — on one card, the
+// data crosses the link twice each way, which is what Table 12
+// quantifies. On peer fabrics (mesh, torus) each residue's planes leave
+// the producer as DeviceGroup::d2d_async legs in ring order into
+// per-member receive buffers, phase 2 runs there in place, and each
+// member starts when its own receives (a per-member Event) and phase-1
+// tails are done. Peer fabrics also allow the *pencil* decomposition:
+// each member owns one (plane group, Y block) unit, so N grows past
+// min(shards, local_nz); choose_decomposition (planner.h) prices slab
+// against pencil.
 //
-// Per device the schedule is the out-of-core one (two slab leases, two
-// streams), so a group of one reproduces the OutOfCoreFft3D timeline
-// exactly (pinned by test). Decimation arithmetic depends only on
-// `shards`, so results are bit-identical across device counts, spec
+// Per device the schedule double-buffers two slab leases over two
+// streams, so slab r+1's upload and slab r-1's download overlap slab r's
+// on-card FFT wherever the card's copy engines allow (Section 4.4). The
+// bucket sums (Table 12 rows) are schedule-independent; makespan_ms
+// carries the overlapped wall-clock. Decimation arithmetic depends only
+// on `shards`, so results are bit-identical across device counts, spec
 // mixes, fabrics and decompositions, and across a DeviceLost: execute()
 // restores its input from a snapshot (taken only while faults are armed)
 // and re-shards over the survivors, down to one card.
+//
+// One class serves three descriptions:
+//   Sharded3D       one volume across the fleet (execute), or a batch
+//                   sharded volume by volume (execute_batch) or dealt
+//                   (deal_batch) — the FFT service prices the two;
+//   BatchSharded3D  a group plan whose every entry point deals;
+//   OutOfCore       the paper's single-card plan. On a bare-device
+//                   registry the plan owns a one-member DeviceGroup that
+//                   borrows the caller's Device (sim/device_group.h).
+// A dealt volume is a one-member run of the same code on the member it is
+// dealt to, from that member's clock, so volumes on different cards
+// overlap; each member stages through its own host buffer.
 //
 // The same schedule serves r2c/c2r cubes over the split half-spectrum
 // layout (real3d.h): a PlaneCodec describes a Z-plane as row regions —
@@ -164,6 +187,8 @@ enum class BatchMode {
 struct ShardedBatchTiming {
   ShardedTiming total;  ///< per-device buckets summed across volumes
   std::vector<double> volume_done_ms;  ///< completion offsets from batch start
+  /// Dealt batches only: the group ordinal that ran each volume.
+  std::vector<std::size_t> volume_member;
   double makespan_ms{};                ///< batch wall-clock across the fleet
 
   [[nodiscard]] double volumes_per_sec() const {
@@ -224,28 +249,36 @@ struct PlaneCodec {
 /// N); each device owns shards/N residues in phase 1 and a contiguous
 /// (n/shards)/N block of plane groups in phase 2. As an FftPlan it
 /// supports the host entry points only — the volume is never resident on
-/// any single card. Obtain through a group-attached PlanRegistry:
+/// any single card. Obtain through a PlanRegistry:
 ///
 ///   sim::DeviceGroup group(4, sim::geforce_8800_gts());
 ///   auto plan = gpufft::PlanRegistry::of(group).get_or_create(
 ///       gpufft::PlanDesc::sharded3d(256, 8, gpufft::Direction::Forward));
 ///   plan->execute_host(volume);
 ///
+///   auto one_card = gpufft::PlanRegistry::of(dev).get_or_create(
+///       gpufft::PlanDesc::out_of_core(512, 8, gpufft::Direction::Forward));
+///
 /// PlanDesc::sharded_real3d builds the same class over the half-spectrum
 /// layout (see the file comment).
 class ShardedFft3DPlan final : public PlanBaseT<float> {
  public:
-  /// Requires a PlanKind::Sharded3D cube description: splits | n, splits
-  /// a supported power-of-two small-FFT factor; RealHalfSpectrum layouts
-  /// also need a power-of-two n >= 32 (the real X fine pass). A non-zero
-  /// tune.slab_depth overrides `splits` (the TuneConfig knob). Any group
-  /// size works: when it divides neither `splits` nor `n/splits`, the run
-  /// uses the largest member prefix that divides both.
+  /// Requires a Sharded3D, BatchSharded3D or OutOfCore cube description:
+  /// splits | n, splits a supported power-of-two small-FFT factor;
+  /// RealHalfSpectrum layouts also need a power-of-two n >= 32 (the real
+  /// X fine pass). A non-zero tune.slab_depth overrides `splits` (the
+  /// TuneConfig knob). Any group size works: when it divides neither
+  /// `splits` nor `n/splits`, a sharded run uses the largest member
+  /// prefix that divides both. BatchSharded3D and OutOfCore plans deal:
+  /// execute() runs the volume whole on the first schedulable member.
   ShardedFft3DPlan(sim::DeviceGroup& group, const PlanDesc& desc);
   /// Complex-layout convenience: PlanDesc::sharded3d(n, shards, dir) with
   /// `tune`.
   ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
                    std::size_t shards, Direction dir, TuneConfig tune = {});
+  /// A plan on one bare card (the OutOfCore kind): the plan owns a
+  /// one-member group borrowing `dev`, which must outlive the plan.
+  ShardedFft3DPlan(Device& dev, const PlanDesc& desc);
 
   ShardedTiming execute(std::span<cxf> host_data);
   /// Re-expose the device-resident entry point the span overload hides.
@@ -268,9 +301,19 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   ShardedBatchTiming execute_batch(std::span<const std::span<cxf>> volumes,
                                    BatchMode mode = BatchMode::Pipelined);
 
-  /// FftPlan batch entry point: runs the Pipelined schedule; the rows are
-  /// duration sums across volumes and last_total_ms() is the overlapped
-  /// batch makespan.
+  /// Deal whole volumes round-robin over the schedulable members: each
+  /// volume is a one-member run of this schedule, verified against its
+  /// member, with no exchange and no phase barrier. Volumes dealt to
+  /// different cards overlap; volumes on one card run back to back. Any
+  /// group size works. Survives DeviceLost mid-batch: the failing volume
+  /// restores from its snapshot (taken only while faults are armed) and
+  /// re-deals to the next survivor in rotation; completed volumes keep
+  /// their results. execute_batch of a dealt kind is this call.
+  ShardedBatchTiming deal_batch(std::span<const std::span<cxf>> volumes);
+
+  /// FftPlan batch entry point: runs execute_batch (Pipelined, or dealt);
+  /// the rows are duration sums across volumes and last_total_ms() is the
+  /// overlapped batch makespan.
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
@@ -302,6 +345,10 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// the single-volume path owns exactly one, reproducing the PR 3
   /// schedule op for op.
   struct VolumeCtx;
+
+  /// Owns a borrowed-device group (see the Device& constructor).
+  ShardedFft3DPlan(std::unique_ptr<sim::DeviceGroup> own,
+                   const PlanDesc& desc);
 
   friend double priced_sharded_ms(sim::DeviceGroup&, const PlanDesc&,
                                   Decomposition, std::size_t, BatchMode,
@@ -335,16 +382,22 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// One full run over the device subset `members` (indices into the
   /// group) with the resolved `layout`. The failover wrapper in
   /// execute() re-invokes this with the surviving members (and their
-  /// re-resolved layout) when a card is lost mid-run.
+  /// re-resolved layout) when a card is lost mid-run. A `dealt` run is
+  /// one member on its own clock, staging through that member's buffer.
   ShardedTiming run_on(const std::vector<std::size_t>& members,
-                       const ShardLayout& layout, std::span<cxf> host_data);
+                       const ShardLayout& layout, std::span<cxf> host_data,
+                       bool dealt);
 
   /// The seven phase rows of `t`'s buckets summed across the fleet, for
   /// `volumes` volumes (each phase moves every volume once each way).
   std::vector<StepTiming> phase_rows(const ShardedTiming& t,
                                      std::size_t volumes);
 
+  /// Declared first, destroyed last: everything below may refer to it.
+  std::unique_ptr<sim::DeviceGroup> own_group_;
   sim::DeviceGroup* group_;
+  /// BatchSharded3D and OutOfCore: every entry point deals.
+  bool dealt_;
   TuneConfig opt_;
   std::size_t n_;
   std::size_t shards_;
@@ -360,8 +413,12 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// c2r only: per-device tables of the fused pass (n/2 stages, n pack).
   std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_half_;
   std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_full_;
+  /// Sharded runs' exchange volume (dealt kinds leave it empty).
   sim::LazyZeroVector<cxf> host_work_;
   sim::DeviceGroup::HostStagingLease staging_lease_;
+  /// Dealt runs' host staging, one volume per group ordinal, grown on a
+  /// member's first dealt volume.
+  std::vector<sim::LazyZeroVector<cxf>> dealt_work_;
   /// Extra staging volumes for the pipelined batch (slots 1..N-1 of the
   /// kPipelineContexts rotation; slot 0 is host_work_), so a volume's
   /// phase-1 downloads never land in a buffer an earlier volume's phase

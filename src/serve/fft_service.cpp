@@ -41,9 +41,7 @@ Admission FftService::submit(const FftRequest& req) {
 void FftService::run_batch(const std::vector<FftRequest>& batch,
                            ServiceReport& rep) {
   const PlanDesc& desc = batch.front().desc;
-  const std::size_t n = desc.shape.nx;
   const double t0 = group_.elapsed_ms();
-  auto& reg = PlanRegistry::of(group_);
 
   // A typed sim error is only reachable with an injector armed (the
   // simulator has no spontaneous faults), so the salvage snapshot is
@@ -61,58 +59,21 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
   for (const auto& r : batch) spans.push_back(r.data);
 
   std::vector<double> done;  // per-volume offsets from t0
-  BatchStrategy strategy = BatchStrategy::Shard;
+  // Single-card kinds are always dealt; sharded volumes (complex or real)
+  // take the priced deal-vs-shard choice, for the schedule that will run
+  // (verified batches shard serially).
+  BatchStrategy strategy = BatchStrategy::Deal;
 
   try {
-    const auto sharded_plan = [&] {
-      auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
-          reg.get_or_create(desc));
-      REPRO_CHECK(plan != nullptr);
-      plan->set_exec_policy(cfg_.exec);
-      return plan;
-    };
-    if (desc.kind == PlanKind::Sharded3D &&
-        desc.layout == gpufft::Layout::RealHalfSpectrum) {
-      // Real transforms: one volume at a time. The sharded plan's
-      // pipelined batch also serves half-spectrum volumes, but the dealt
-      // plan the complex branch weighs against it is complex-only.
-      auto plan = sharded_plan();
-      for (const auto s : spans) {
-        plan->execute(s);
-        done.push_back(group_.elapsed_ms() - t0);
-      }
-    } else if (desc.kind == PlanKind::OutOfCore ||
-               desc.kind == PlanKind::BatchSharded3D) {
-      // Single-card volumes: deal them to the members round-robin.
-      strategy = BatchStrategy::Deal;
-      auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
-          reg.get_or_create(
-              PlanDesc::batch_sharded3d(n, desc.splits, desc.dir)));
-      REPRO_CHECK(plan != nullptr);
-      plan->set_exec_policy(cfg_.exec);
-      done = plan->execute_batch(spans).volume_done_ms;
-    } else if (desc.kind == PlanKind::Sharded3D) {
-      // Complex fleet volumes: the priced deal-vs-shard choice, for the
-      // schedule that will run (verified batches shard serially).
-      const gpufft::BatchChoice choice = gpufft::choose_batch_strategy(
-          group_, desc, batch.size(), cfg_.exec);
-      strategy = choice.strategy;
-      if (choice.strategy == BatchStrategy::Deal) {
-        auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
-            reg.get_or_create(
-                PlanDesc::batch_sharded3d(n, desc.splits, desc.dir)));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        done = plan->execute_batch(spans).volume_done_ms;
-      } else {
-        done = sharded_plan()->execute_batch(spans).volume_done_ms;
-      }
-    } else {
-      REPRO_FAIL(
-          "FftService serves Sharded3D, BatchSharded3D and OutOfCore "
-          "descriptions; got " +
-          desc.to_string());
+    if (desc.kind == PlanKind::Sharded3D) {
+      strategy = gpufft::choose_batch_strategy(group_, desc, batch.size(),
+                                               cfg_.exec)
+                     .strategy;
     }
+    auto plan = plan_for(desc);
+    done = (strategy == BatchStrategy::Deal ? plan->deal_batch(spans)
+                                            : plan->execute_batch(spans))
+               .volume_done_ms;
   } catch (const sim::SimError&) {
     // The fused execution died after its own recovery layers gave up.
     // With pristine inputs in hand, isolate the poison per request so
@@ -134,11 +95,24 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
   }
 }
 
+std::shared_ptr<gpufft::ShardedFft3DPlan> FftService::plan_for(
+    const PlanDesc& desc) {
+  REPRO_CHECK_MSG(desc.kind == PlanKind::Sharded3D ||
+                      desc.kind == PlanKind::BatchSharded3D ||
+                      desc.kind == PlanKind::OutOfCore,
+                  "FftService serves Sharded3D, BatchSharded3D and "
+                  "OutOfCore descriptions; got " +
+                      desc.to_string());
+  auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
+      PlanRegistry::of(group_).get_or_create(desc));
+  REPRO_CHECK(plan != nullptr);
+  plan->set_exec_policy(cfg_.exec);
+  return plan;
+}
+
 void FftService::run_salvage(const std::vector<FftRequest>& batch,
                              const std::vector<std::vector<cxf>>& snapshot,
                              BatchStrategy strategy, ServiceReport& rep) {
-  const PlanDesc& desc = batch.front().desc;
-  auto& reg = PlanRegistry::of(group_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     // Restore the pristine input: the fused attempt may have left this
     // volume transformed or torn. Re-running a volume the batch already
@@ -146,21 +120,9 @@ void FftService::run_salvage(const std::vector<FftRequest>& batch,
     // data path), just later on the clock.
     std::copy(snapshot[i].begin(), snapshot[i].end(), batch[i].data.begin());
     try {
-      if (desc.kind == PlanKind::Sharded3D) {
-        auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
-            reg.get_or_create(desc));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        plan->execute(batch[i].data);
-      } else {
-        auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
-            reg.get_or_create(PlanDesc::batch_sharded3d(
-                desc.shape.nx, desc.splits, desc.dir)));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        const std::span<cxf> one[] = {batch[i].data};
-        plan->execute_batch(one);
-      }
+      // Sharded descriptions shard the volume, single-card ones deal it
+      // to the first schedulable member.
+      plan_for(batch[i].desc)->execute(batch[i].data);
       CompletionRecord c;
       c.id = batch[i].id;
       c.done_ms = group_.elapsed_ms();

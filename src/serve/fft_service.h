@@ -6,15 +6,15 @@
 // bound and the registry's device-memory byte watermark, and drains the
 // queue through PlanRegistry::of(group) plans:
 //
-//   - complex 3-D requests are fused into batches of identical
-//     descriptions and routed by choose_batch_strategy(), which prices
-//     both schedules on the group's timing twin: small batches shard one
-//     volume across the fleet (latency), fleet-sized batches deal whole
-//     volumes to members (throughput), with the pipelined all-to-all
-//     overlap when sharding unverified batches;
-//   - out-of-core requests are dealt round-robin to members through the
-//     batch-sharded plan (its members ARE single-card out-of-core plans);
-//   - real-transform requests run the sharded real plan per volume.
+//   - sharded 3-D requests, complex or real, are fused into batches of
+//     identical descriptions and routed by choose_batch_strategy(), which
+//     prices both schedules of the description's own plan on the group's
+//     timing twin: small batches shard one volume across the fleet
+//     (latency), fleet-sized batches deal whole volumes to members
+//     (throughput), with the pipelined all-to-all overlap when sharding
+//     unverified batches;
+//   - out-of-core and batch-sharded requests are dealt round-robin to
+//     members, each volume a one-card run of the same schedule.
 //
 // Time is simulated end to end: a request whose arrival is in the future
 // idles the fleet via DeviceGroup::advance_to_ms, so the report's
@@ -152,6 +152,11 @@ class FftService {
   void run_salvage(const std::vector<FftRequest>& batch,
                    const std::vector<std::vector<cxf>>& snapshot,
                    gpufft::BatchStrategy strategy, ServiceReport& rep);
+
+  /// The group registry's plan for a Sharded3D, BatchSharded3D or
+  /// OutOfCore `desc`, carrying the service's ExecPolicy.
+  std::shared_ptr<gpufft::ShardedFft3DPlan> plan_for(
+      const gpufft::PlanDesc& desc);
 
   /// Health maintenance between batches: sweep the scoreboard, then run
   /// one Full-verify probe transform per quarantined member and feed the

@@ -37,21 +37,32 @@ DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec,
                          std::shared_ptr<const Topology> topo)
     : DeviceGroup(replicate(count, spec), std::move(topo)) {}
 
+DeviceGroup::DeviceGroup(Device& dev)
+    : interconnect_(std::make_shared<PcieTreeTopology>(1)),
+      dry_(dev.dry()) {
+  REPRO_CHECK_MSG(derate_for_bridge(dev.spec(), *interconnect_) == dev.spec(),
+                  "a one-card PCIe tree must leave the borrowed card's "
+                  "link rate untouched");
+  devices_.push_back(&dev);
+  member_health_.resize(1);
+}
+
 void DeviceGroup::build(std::vector<GpuSpec> specs) {
-  devices_.reserve(specs.size());
+  owned_.reserve(specs.size());
   for (const GpuSpec& s : specs) {
     auto dev = std::make_unique<Device>(derate_for_bridge(s, *interconnect_));
-    dev->set_ordinal(static_cast<int>(devices_.size()));
+    dev->set_ordinal(static_cast<int>(owned_.size()));
     // The memo key and the spec determine a LaunchResult, so equal specs
     // can share one memo exactly.
-    for (const auto& prev : devices_) {
+    for (const auto& prev : owned_) {
       if (prev->spec() == dev->spec()) {
         dev->launch_memo_ = prev->launch_memo_;
         break;
       }
     }
-    devices_.push_back(std::move(dev));
+    owned_.push_back(std::move(dev));
   }
+  for (const auto& d : owned_) devices_.push_back(d.get());
   member_health_.resize(devices_.size());
 }
 

@@ -1,7 +1,8 @@
 // A fleet of simulated devices behind a pluggable interconnect.
 //
-// DeviceGroup owns N sim::Device instances (homogeneous or mixed GpuSpecs)
-// that share a single simulated timeline: every member's clock starts at
+// DeviceGroup owns N sim::Device instances (homogeneous or mixed GpuSpecs;
+// a group of one may instead borrow a caller's Device) that share a
+// single simulated timeline: every member's clock starts at
 // the same origin, so "time t on card A" and "time t on card B" name the
 // same instant and cross-device ordering reduces to
 // Stream::wait_until_ms. How the cards reach *each other* is a Topology
@@ -98,6 +99,12 @@ class DeviceGroup {
   /// Homogeneous convenience: `count` copies of `spec`.
   DeviceGroup(std::size_t count, const GpuSpec& spec,
               std::shared_ptr<const Topology> topo = nullptr);
+  /// A group of one that borrows `dev` instead of owning it, so a
+  /// single-card plan can run the group schedule on the caller's card.
+  /// The card keeps its spec and ordinal: a one-card PCIe tree derates
+  /// nothing (checked here). `dev` must outlive the group; the group is
+  /// dry when `dev` is.
+  explicit DeviceGroup(Device& dev);
 
   DeviceGroup(const DeviceGroup&) = delete;
   DeviceGroup& operator=(const DeviceGroup&) = delete;
@@ -370,7 +377,10 @@ class DeviceGroup {
   std::map<std::pair<std::size_t, std::size_t>, double> link_free_ms_;
   bool dry_ = false;
   // unique_ptr: Device is pinned (streams and buffers hold raw pointers).
-  std::vector<std::unique_ptr<Device>> devices_;
+  // devices_ lists every member; owned_ holds the ones the group built
+  // (all of them, except in a group that borrows its card).
+  std::vector<std::unique_ptr<Device>> owned_;
+  std::vector<Device*> devices_;
   std::size_t host_staging_bytes_ = 0;
   std::size_t peak_host_staging_bytes_ = 0;
   HealthPolicy health_policy_{};

@@ -1,8 +1,9 @@
-// Batched multi-volume execution: the dealt batch plan
-// (BatchShardedFft3DPlan), the pipelined sharded batch, bit-identity of
-// every schedule against the serial reference, exact pricing of the
-// pipelined issue order and of the deal-vs-shard decision, and mid-batch
-// DeviceLost recovery for both paths.
+// Batched multi-volume execution: the dealt batch
+// (ShardedFft3DPlan::deal_batch, and the BatchSharded3D plan that always
+// deals), the pipelined sharded batch, bit-identity of every schedule
+// against the serial reference, exact pricing of the pipelined issue
+// order and of the deal-vs-shard decision, and mid-batch DeviceLost
+// recovery for both paths.
 #include "gpufft/batch_sharded.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
 #include "sim/fault.h"
+#include "sim/topology/peer_mesh.h"
 
 namespace repro::gpufft {
 namespace {
@@ -62,7 +64,8 @@ TEST(BatchSharded, DealtBatchBitIdenticalToShardedAnyGroupSize) {
   // shards=4 nor n/shards=8, yet results must stay bit-identical.
   for (const std::size_t devices : {1u, 2u, 3u}) {
     sim::DeviceGroup group(devices, sim::geforce_8800_gts());
-    BatchShardedFft3DPlan plan(group, n, shards, Direction::Forward);
+    ShardedFft3DPlan plan(
+        group, PlanDesc::batch_sharded3d(n, shards, Direction::Forward));
     auto data = inputs;
     auto spans = spans_of(data);
     const auto bt = plan.execute_batch(spans);
@@ -72,7 +75,7 @@ TEST(BatchSharded, DealtBatchBitIdenticalToShardedAnyGroupSize) {
     for (std::size_t k = 0; k < data.size(); ++k) {
       EXPECT_TRUE(bit_identical(data[k], ref[k]))
           << "devices=" << devices << " volume=" << k;
-      EXPECT_EQ(static_cast<std::size_t>(bt.volume_member[k]), k % devices);
+      EXPECT_EQ(bt.volume_member[k], k % devices);
     }
   }
 }
@@ -203,18 +206,17 @@ PricedChoice run_priced_choice(std::size_t devices, std::size_t n,
   PricedChoice r;
   r.choice = choose_batch_strategy(group, desc, batch);
 
-  BatchShardedFft3DPlan deal_plan(group, n, shards, Direction::Forward);
+  ShardedFft3DPlan plan(group, desc);
   auto deal_data = make_volumes(batch, n, 500 + batch);
   auto deal_spans = spans_of(deal_data);
   group.reset_clocks();
-  r.dealt_ms = deal_plan.execute_batch(deal_spans).makespan_ms;
+  r.dealt_ms = plan.deal_batch(deal_spans).makespan_ms;
 
-  ShardedFft3DPlan shard_plan(group, desc);
   auto shard_data = make_volumes(batch, n, 500 + batch);
   auto shard_spans = spans_of(shard_data);
   group.reset_clocks();
   r.sharded_ms =
-      shard_plan.execute_batch(shard_spans, BatchMode::Pipelined).makespan_ms;
+      plan.execute_batch(shard_spans, BatchMode::Pipelined).makespan_ms;
 
   EXPECT_EQ(r.dealt_ms, r.choice.deal_ms) << "batch=" << batch;
   EXPECT_EQ(r.sharded_ms, r.choice.shard_ms) << "batch=" << batch;
@@ -314,8 +316,9 @@ TEST(BatchSharded, DealtBatchSurvivesMidStreamDeviceLost) {
   const auto inputs = make_volumes(4, n, 707);
   const auto ref = serial_reference(n, shards, Direction::Forward, inputs);
 
+  const PlanDesc desc = PlanDesc::batch_sharded3d(n, shards, Direction::Forward);
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
-  BatchShardedFft3DPlan plan(group, n, shards, Direction::Forward);
+  ShardedFft3DPlan plan(group, desc);
   auto count_data = inputs;
   auto count_spans = spans_of(count_data);
   const std::uint64_t total = occurrences_for(
@@ -324,7 +327,7 @@ TEST(BatchSharded, DealtBatchSurvivesMidStreamDeviceLost) {
 
   sim::DeviceGroup fresh(2, sim::geforce_8800_gts());
   fresh.faults(1).arm(sim::FaultKind::DeviceLost, total / 2);
-  BatchShardedFft3DPlan fplan(fresh, n, shards, Direction::Forward);
+  ShardedFft3DPlan fplan(fresh, desc);
   const auto before = recovery_counters().device_lost_failovers;
   auto data = inputs;
   auto spans = spans_of(data);
@@ -335,7 +338,7 @@ TEST(BatchSharded, DealtBatchSurvivesMidStreamDeviceLost) {
     EXPECT_TRUE(bit_identical(data[k], ref[k])) << "volume=" << k;
     // Every volume ran (or re-ran) on an alive member.
     if (k > 0) {
-      EXPECT_EQ(bt.volume_member[k], 0);
+      EXPECT_EQ(bt.volume_member[k], 0u);
     }
   }
 }
@@ -361,6 +364,105 @@ TEST(BatchSharded, RegistryFrontDoorServesBatchShardedPlans) {
   auto again = reg.get_or_create(desc);
   EXPECT_EQ(plan.get(), again.get());
   EXPECT_GE(reg.hits(), 1u);
+}
+
+TEST(BatchSharded, DealtRealBatchesMatchShardedExecutes) {
+  // Dealing carries the plane codec: one-card half-spectrum runs are
+  // bit-identical to the same volumes sharded over a 4-card peer mesh,
+  // forward (r2c) and inverse (c2r).
+  const std::size_t n = 32;
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    SCOPED_TRACE(dir == Direction::Forward ? "r2c" : "c2r");
+    const PlanDesc desc = PlanDesc::sharded_real3d(n, 4, dir);
+    std::vector<std::vector<cxf>> inputs;
+    for (std::size_t k = 0; k < 3; ++k) {
+      inputs.push_back(
+          random_complex<float>(desc.buffer_elements(), 909 + k));
+    }
+    sim::DeviceGroup mesh(4, sim::geforce_8800_gts(),
+                          std::make_shared<sim::PeerMeshTopology>(4));
+    ShardedFft3DPlan sharded(mesh, desc);
+    auto ref = inputs;
+    for (auto& v : ref) sharded.execute(std::span<cxf>(v));
+
+    sim::DeviceGroup tree(4, sim::geforce_8800_gts());
+    ShardedFft3DPlan dealt(tree, desc);
+    auto data = inputs;
+    auto spans = spans_of(data);
+    const auto bt = dealt.deal_batch(spans);
+    for (std::size_t k = 0; k < data.size(); ++k) {
+      EXPECT_TRUE(bit_identical(data[k], ref[k])) << "volume=" << k;
+      EXPECT_EQ(bt.volume_member[k], k);
+    }
+  }
+}
+
+TEST(BatchSharded, DealtTimelineMatchesTheRecordedSchedule) {
+  // Golden schedule: three 32^3 volumes, 4 shards, dealt over 2 x 8800
+  // GTS. The constants were recorded from the per-member out-of-core
+  // plans dealing used before it became a one-member run of the sharded
+  // schedule.
+  const std::size_t n = 32;
+  sim::DeviceGroup group(2, sim::geforce_8800_gts());
+  ShardedFft3DPlan plan(group,
+                        PlanDesc::batch_sharded3d(n, 4, Direction::Forward));
+  std::vector<std::vector<cxf>> data;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    data.push_back(random_complex<float>(n * n * n, 40 + k));
+  }
+  auto spans = spans_of(data);
+  const auto bt = plan.execute_batch(spans);
+  EXPECT_EQ(bt.makespan_ms, 5.4128421634308266);
+  ASSERT_EQ(bt.volume_done_ms.size(), 3u);
+  EXPECT_EQ(bt.volume_done_ms[0], 2.7064210817154137);
+  EXPECT_EQ(bt.volume_done_ms[1], 2.7064210817154137);
+  EXPECT_EQ(bt.volume_done_ms[2], 5.4128421634308266);
+  EXPECT_EQ(bt.volume_member, (std::vector<std::size_t>{0, 1, 0}));
+}
+
+TEST(BatchSharded, DealtVolumesOverlapAcrossMembers) {
+  // Each dealt run starts from its own member's clock and drains only
+  // that member: volumes on two cards finish together, while a third on
+  // a card that already ran one queues behind it.
+  const std::size_t n = 32;
+  sim::DeviceGroup group(2, sim::geforce_8800_gts());
+  ShardedFft3DPlan plan(group, PlanDesc::sharded3d(n, 4, Direction::Forward));
+  auto data = make_volumes(3, n, 910);
+  auto spans = spans_of(data);
+  group.reset_clocks();
+  const auto bt = plan.deal_batch(spans);
+  ASSERT_EQ(bt.volume_done_ms.size(), 3u);
+  EXPECT_EQ(bt.volume_done_ms[0], bt.volume_done_ms[1]);
+  EXPECT_GT(bt.volume_done_ms[2], bt.volume_done_ms[0]);
+  EXPECT_EQ(bt.makespan_ms, bt.volume_done_ms[2]);
+  EXPECT_EQ(group.device(0).elapsed_ms(), bt.volume_done_ms[2]);
+  EXPECT_EQ(group.device(1).elapsed_ms(), bt.volume_done_ms[1]);
+}
+
+TEST(BatchSharded, FullyLostFleetRaisesDeviceLostFromEveryKind) {
+  const std::size_t n = 32;
+  sim::DeviceGroup group(2, sim::geforce_8800_gts());
+  auto& reg = PlanRegistry::of(group);
+  const auto sharded = reg.get_or_create(
+      PlanDesc::sharded3d(n, 4, Direction::Forward));
+  const auto dealt = reg.get_or_create(
+      PlanDesc::batch_sharded3d(n, 4, Direction::Forward));
+  const auto one_card = reg.get_or_create(
+      PlanDesc::out_of_core(n, 4, Direction::Forward));
+  group.faults(0).arm(sim::FaultKind::DeviceLost, 1);
+  group.faults(1).arm(sim::FaultKind::DeviceLost, 1);
+  auto data = make_volumes(1, n, 911);
+  EXPECT_THROW(sharded->execute_host(std::span<cxf>(data[0])),
+               sim::DeviceLostError);
+  ASSERT_EQ(group.alive_count(), 0u);
+  // With nobody left, every kind fails typed before doing any work.
+  for (const auto& plan : {sharded, dealt, one_card}) {
+    SCOPED_TRACE(plan->desc().to_string());
+    EXPECT_THROW(plan->execute_host(std::span<cxf>(data[0])),
+                 sim::DeviceLostError);
+    auto spans = spans_of(data);
+    EXPECT_THROW(plan->execute_batch_host(spans), sim::DeviceLostError);
+  }
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "gpufft/cache.h"
-#include "gpufft/outofcore.h"
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
 #include "sim/topology/peer_mesh.h"

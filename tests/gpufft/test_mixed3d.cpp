@@ -11,7 +11,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "fft/plan.h"
-#include "gpufft/outofcore.h"
 #include "gpufft/plan.h"
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
@@ -162,7 +161,7 @@ std::vector<cxf> out_of_core_run(std::size_t n, std::size_t splits,
                                  Direction dir,
                                  const std::vector<cxf>& input) {
   Device dev(sim::geforce_8800_gts());
-  OutOfCoreFft3D plan(dev, n, splits, dir);
+  ShardedFft3DPlan plan(dev, PlanDesc::out_of_core(n, splits, dir));
   std::vector<cxf> data = input;
   plan.execute(std::span<cxf>(data));
   return data;

@@ -6,8 +6,8 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "fft/plan.h"
-#include "gpufft/outofcore.h"
 #include "gpufft/plan.h"
+#include "gpufft/sharded.h"
 
 namespace repro::gpufft {
 namespace {
@@ -89,7 +89,8 @@ TEST_P(OutOfCoreSplits, MatchesHostForEverySplit) {
   host.execute(ref);
 
   Device dev(sim::geforce_8800_gts());
-  OutOfCoreFft3D plan(dev, n, splits, Direction::Forward);
+  ShardedFft3DPlan plan(dev,
+                        PlanDesc::out_of_core(n, splits, Direction::Forward));
   plan.execute(std::span<cxf>(data));
   EXPECT_LT(rel_l2_error<float>(data, ref),
             fft_error_bound<float>(n * n * n));

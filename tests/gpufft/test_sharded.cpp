@@ -120,9 +120,10 @@ TEST(Sharded, MatchesHostPlanL2) {
 }
 
 TEST(Sharded, GroupOfOnePinsTheOutOfCoreTimeline) {
-  // The degenerate-path guard: one device in a group must produce the
-  // exact event timeline of the bare-device out-of-core plan — same
-  // makespan, same transfer times and bytes, same launch sequence.
+  // The degenerate-path guard: an owned group of one must produce the
+  // exact event timeline of the out-of-core plan on a bare device (a
+  // group of one borrowing that card) — same makespan, same transfer
+  // times and bytes, same launch sequence.
   const std::size_t n = 64;
   const std::size_t shards = 4;
   const auto input = random_complex<float>(n * n * n, 25);
@@ -130,7 +131,8 @@ TEST(Sharded, GroupOfOnePinsTheOutOfCoreTimeline) {
   sim::DeviceGroup group(1, sim::geforce_8800_gts());
   ShardedFft3DPlan sharded(group, n, shards, Direction::Forward);
   Device bare(sim::geforce_8800_gts());
-  OutOfCoreFft3D reference(bare, n, shards, Direction::Forward);
+  ShardedFft3DPlan reference(
+      bare, PlanDesc::out_of_core(n, shards, Direction::Forward));
 
   group.device(0).reset_clock();
   bare.reset_clock();
@@ -154,13 +156,14 @@ TEST(Sharded, GroupOfOnePinsTheOutOfCoreTimeline) {
   }
   // And the per-bucket sums coincide with the out-of-core buckets.
   ASSERT_EQ(ta.devices.size(), 1u);
-  EXPECT_DOUBLE_EQ(ta.devices[0].h2d1_ms, tb.h2d1_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].fft1_ms, tb.fft1_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].twiddle_ms, tb.twiddle_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].d2h1_ms, tb.d2h1_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].h2d2_ms, tb.h2d2_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].fft2_ms, tb.fft2_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].d2h2_ms, tb.d2h2_ms);
+  ASSERT_EQ(tb.devices.size(), 1u);
+  EXPECT_DOUBLE_EQ(ta.devices[0].h2d1_ms, tb.devices[0].h2d1_ms);
+  EXPECT_DOUBLE_EQ(ta.devices[0].fft1_ms, tb.devices[0].fft1_ms);
+  EXPECT_DOUBLE_EQ(ta.devices[0].twiddle_ms, tb.devices[0].twiddle_ms);
+  EXPECT_DOUBLE_EQ(ta.devices[0].d2h1_ms, tb.devices[0].d2h1_ms);
+  EXPECT_DOUBLE_EQ(ta.devices[0].h2d2_ms, tb.devices[0].h2d2_ms);
+  EXPECT_DOUBLE_EQ(ta.devices[0].fft2_ms, tb.devices[0].fft2_ms);
+  EXPECT_DOUBLE_EQ(ta.devices[0].d2h2_ms, tb.devices[0].d2h2_ms);
 }
 
 TEST(Sharded, ExchangeAndByteAccounting) {

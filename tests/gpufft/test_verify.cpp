@@ -14,10 +14,8 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "gpufft/outofcore.h"
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
-#include "gpufft/batch_sharded.h"
 
 namespace repro::gpufft {
 namespace {
@@ -165,7 +163,7 @@ TEST(Verify, ParsevalRepairsKernelCorruptOnBatchShardedPlans) {
       reference_run(PlanDesc::out_of_core(n, 4, Direction::Forward), b);
 
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
-  auto plan = std::dynamic_pointer_cast<BatchShardedFft3DPlan>(
+  auto plan = std::dynamic_pointer_cast<ShardedFft3DPlan>(
       PlanRegistry::of(group).get_or_create(
           PlanDesc::batch_sharded3d(n, 4, Direction::Forward)));
   ASSERT_NE(plan, nullptr);

@@ -7,7 +7,7 @@
 #include "fft/plan.h"
 #include "gpufft/conventional3d.h"
 #include "gpufft/naive.h"
-#include "gpufft/outofcore.h"
+#include "gpufft/sharded.h"
 #include "gpufft/plan.h"
 
 namespace repro {
@@ -94,7 +94,8 @@ TEST(Integration, OutOfCoreMatchesInCorePlan) {
 
   auto streamed = input;
   sim::Device dev(sim::geforce_8800_gts());
-  gpufft::OutOfCoreFft3D plan(dev, n, 4, Direction::Forward);
+  gpufft::ShardedFft3DPlan plan(
+      dev, gpufft::PlanDesc::out_of_core(n, 4, Direction::Forward));
   plan.execute(std::span<cxf>(streamed));
 
   EXPECT_LT(rel_l2_error<float>(streamed, in_core),

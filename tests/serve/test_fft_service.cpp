@@ -270,6 +270,137 @@ TEST(FftService, VerifiedBatchesArePricedAsTheSerialScheduleTheyRun) {
   EXPECT_LT(choice.deal_ms, choice.shard_ms);
 }
 
+/// Submit `volumes` of `desc`, all arrived at t = 0 (one fused batch).
+void submit_all(FftService& service, const PlanDesc& desc,
+                std::vector<std::vector<cxf>>& volumes) {
+  for (std::size_t k = 0; k < volumes.size(); ++k) {
+    FftRequest req;
+    req.id = k;
+    req.desc = desc;
+    req.data = std::span<cxf>(volumes[k]);
+    ASSERT_EQ(service.submit(req), Admission::Accepted);
+  }
+}
+
+TEST(FftService, DealtBatchesKeepTheDescriptionsTuneConfig) {
+  // A tuned slab depth changes the decimation and hence the bits; the
+  // dealt batch must run the description it was given.
+  const std::size_t n = 32;
+  PlanDesc desc = PlanDesc::sharded3d(n, 4, Direction::Forward);
+  desc.tune.slab_depth = 8;
+  std::vector<std::vector<cxf>> volumes;
+  for (std::size_t k = 0; k < 4; ++k) {
+    volumes.push_back(random_complex<float>(n * n * n, 85 + k));
+  }
+  auto tuned = volumes;
+  auto untuned = volumes;
+  {
+    sim::DeviceGroup ref_group(4, sim::geforce_8800_gts());
+    gpufft::ShardedFft3DPlan ref(ref_group, desc);
+    for (auto& v : tuned) ref.execute(std::span<cxf>(v));
+    gpufft::ShardedFft3DPlan plain(ref_group, n, 4, Direction::Forward);
+    for (auto& v : untuned) plain.execute(std::span<cxf>(v));
+  }
+  ASSERT_FALSE(bit_identical(tuned[0], untuned[0]));
+
+  sim::DeviceGroup group(4, sim::geforce_8800_gts());
+  FftService service(group);
+  submit_all(service, desc, volumes);
+  const ServiceReport rep = service.run();
+  ASSERT_EQ(rep.completed, volumes.size());
+  for (const auto& c : rep.completions) {
+    EXPECT_EQ(c.strategy, gpufft::BatchStrategy::Deal) << "id=" << c.id;
+  }
+  for (std::size_t k = 0; k < volumes.size(); ++k) {
+    EXPECT_TRUE(bit_identical(volumes[k], tuned[k])) << k;
+  }
+}
+
+TEST(FftService, RealBatchesTakeThePricedDealWhenItIsCheaper) {
+  // Half-spectrum volumes weigh deal against shard like complex ones.
+  // Three cards and four shards: sharding uses a two-card prefix while
+  // dealing keeps all three busy, so a batch of six is dealt, and every
+  // output is the per-volume execute's, bit for bit.
+  const std::size_t n = 32;
+  const auto desc = PlanDesc::sharded_real3d(n, 4, Direction::Forward);
+  std::vector<std::vector<cxf>> volumes;
+  for (std::size_t k = 0; k < 6; ++k) {
+    volumes.push_back(
+        random_complex<float>(desc.buffer_elements(), 95 + k));
+  }
+  auto expect = volumes;
+  {
+    sim::DeviceGroup ref_group(2, sim::geforce_8800_gts());
+    gpufft::ShardedFft3DPlan ref(ref_group, desc);
+    for (auto& v : expect) ref.execute(std::span<cxf>(v));
+  }
+
+  sim::DeviceGroup group(3, sim::geforce_8800_gts());
+  const gpufft::BatchChoice choice =
+      gpufft::choose_batch_strategy(group, desc, volumes.size());
+  EXPECT_LT(choice.deal_ms, choice.shard_ms)
+      << choice.deal_ms << " vs " << choice.shard_ms;
+  FftService service(group);
+  submit_all(service, desc, volumes);
+  const ServiceReport rep = service.run();
+  ASSERT_EQ(rep.completed, volumes.size());
+  for (const auto& c : rep.completions) {
+    EXPECT_EQ(c.strategy, gpufft::BatchStrategy::Deal) << "id=" << c.id;
+  }
+  for (std::size_t k = 0; k < volumes.size(); ++k) {
+    EXPECT_TRUE(bit_identical(volumes[k], expect[k])) << k;
+  }
+}
+
+TEST(FftService, FullyLostFleetFailsEveryRequestTyped) {
+  // Both members of a 2-card fleet are gone before the drain: every
+  // plan kind raises DeviceLostError, and run() still returns, with
+  // every admitted request reported as a typed failure.
+  const std::size_t n = 32;
+  sim::DeviceGroup group(2, sim::geforce_8800_gts());
+  auto& reg = gpufft::PlanRegistry::of(group);
+  const std::vector<PlanDesc> descs = {
+      PlanDesc::sharded3d(n, 4, Direction::Forward),
+      PlanDesc::batch_sharded3d(n, 4, Direction::Forward),
+      PlanDesc::out_of_core(n, 4, Direction::Forward),
+      PlanDesc::sharded_real3d(n, 4, Direction::Forward),
+  };
+  std::vector<std::vector<cxf>> volumes;
+  for (std::size_t k = 0; k < descs.size(); ++k) {
+    volumes.push_back(
+        random_complex<float>(descs[k].buffer_elements(), 99 + k));
+  }
+  std::vector<std::shared_ptr<gpufft::FftPlan>> plans;
+  for (std::size_t k = 0; k < 3; ++k) {
+    plans.push_back(reg.get_or_create(descs[k]));
+  }
+  group.faults(0).arm(sim::FaultKind::DeviceLost, 1);
+  group.faults(1).arm(sim::FaultKind::DeviceLost, 1);
+  EXPECT_THROW(plans[0]->execute_host(volumes[0]), sim::DeviceLostError);
+  ASSERT_EQ(group.alive_count(), 0u);
+  for (std::size_t k = 0; k < plans.size(); ++k) {
+    EXPECT_THROW(plans[k]->execute_host(volumes[k]), sim::DeviceLostError)
+        << descs[k].to_string();
+  }
+
+  FftService service(group);
+  for (std::size_t k = 0; k < descs.size(); ++k) {
+    FftRequest req;
+    req.id = k;
+    req.desc = descs[k];
+    req.data = std::span<cxf>(volumes[k]);
+    req.arrival_ms = 0.1 * static_cast<double>(k);
+    ASSERT_EQ(service.submit(req), Admission::Accepted);
+  }
+  ServiceReport rep;
+  ASSERT_NO_THROW(rep = service.run());
+  EXPECT_EQ(rep.completed, 0u);
+  ASSERT_EQ(rep.failures.size(), descs.size());
+  for (const auto& f : rep.failures) {
+    EXPECT_NE(f.error.find("device lost"), std::string::npos) << f.error;
+  }
+}
+
 // ---- SDC defense through the service ----
 
 TEST(FftService, InvalidExecPolicyIsRejectedTyped) {

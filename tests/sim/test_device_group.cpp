@@ -167,6 +167,34 @@ TEST(DeviceGroup, GroupOfOneKeepsTheBareDeviceTimeline) {
   EXPECT_DOUBLE_EQ(run(group.device(0)), run(bare));
 }
 
+TEST(DeviceGroup, BorrowedCardKeepsItsSpecOrdinalAndClock) {
+  // A group of one that borrows a card (the out-of-core plan's group) is
+  // that card: a one-card PCIe tree derates no evaluation card, the
+  // ordinal stays the caller's, and the group clock is the card's.
+  std::vector<GpuSpec> specs = all_gpus();
+  specs.push_back(geforce_gtx_280());
+  for (const GpuSpec& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    Device dev(spec);
+    dev.set_ordinal(5);
+    DeviceGroup group(dev);
+    ASSERT_EQ(group.size(), 1u);
+    EXPECT_EQ(&group.device(0), &dev);
+    EXPECT_EQ(dev.spec(), spec);
+    EXPECT_EQ(dev.ordinal(), 5);
+    EXPECT_FALSE(group.dry());
+    Stream s(dev);
+    dev.submit_timed(s, Engine::Compute, 1.5, "k");
+    EXPECT_EQ(group.elapsed_ms(), dev.elapsed_ms());
+  }
+  // A card faster than the bridge's one-card share would be derated by a
+  // group it joined, so borrowing it is refused.
+  GpuSpec fast = geforce_gtx_280();
+  fast.pcie.h2d_gbs = 20.0;
+  Device dev(fast);
+  EXPECT_THROW(DeviceGroup{dev}, Error);
+}
+
 TEST(DeviceGroup, RejectsEmptyAndBadTopology) {
   EXPECT_THROW(DeviceGroup(std::vector<GpuSpec>{}), Error);
   EXPECT_THROW(DeviceGroup(0, geforce_8800_gt()), Error);
