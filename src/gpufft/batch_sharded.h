@@ -5,11 +5,11 @@
 // volume's latency matters or it does not fit one card. A batch of
 // independent volumes can instead be dealt (ShardedFft3DPlan::deal_batch):
 // volume k to the k-th schedulable member in rotation, each card running
-// the same Z-decimation schedule as a one-member run, with no exchange
-// and no phase barrier, at the cost of per-volume latency and per-member
-// host staging. For B < N dealing idles cards; for B >= N it saturates
-// the fleet. choose_batch_strategy, the rule the FFT service applies per
-// request batch, prices both on the group's timing twin.
+// the same volume loop as a one-member batch of one, with no exchange
+// and no group-wide barrier, at the cost of per-volume latency and
+// per-member host staging. For B < N dealing idles cards; for B >= N it
+// saturates the fleet. choose_batch_strategy, the rule the FFT service
+// applies per request batch, prices both on the group's timing twin.
 //
 // Results are bit-identical either way: decimation arithmetic depends
 // only on `shards`, never on the member count.
@@ -42,9 +42,9 @@ struct BatchChoice {
 /// `group`'s schedulable members, run under `policy`. Both sides are
 /// priced (dry_run_ms) with the schedule that would run, through the plan
 /// `desc` itself builds (its TuneConfig included): the dealt batch, and
-/// the sharded batch with the decomposition choose_decomposition gives
-/// and the BatchMode execute_batch runs (Serial when `policy` verifies,
-/// else the priced issue order). Deal wins ties.
+/// the sharded batch with the decomposition choose_decomposition gives,
+/// in the schedule execute_batch runs (one execute() per volume when
+/// `policy` verifies, else the priced issue order). Deal wins ties.
 BatchChoice choose_batch_strategy(sim::DeviceGroup& group,
                                   const PlanDesc& desc, std::size_t batch,
                                   const ExecPolicy& policy = {});

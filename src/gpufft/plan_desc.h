@@ -29,7 +29,6 @@ enum class PlanKind {
   Convolution,     ///< FFT convolution/correlation pipeline (convolution.h)
   Sharded3D,       ///< multi-device Z-decimated 3-D FFT (sharded.h)
   Real3D,          ///< r2c/c2r five-step plan, half-spectrum (real3d.h)
-  BatchSharded3D,  ///< whole volumes dealt to group members (sharded.h)
   Mixed3D,         ///< arbitrary-size mixed-radix/Bluestein plan (mixed3d.h)
 };
 
@@ -43,7 +42,6 @@ inline const char* plan_kind_name(PlanKind k) {
     case PlanKind::OutOfCore: return "outofcore";
     case PlanKind::Sharded3D: return "sharded3d";
     case PlanKind::Real3D: return "real3d";
-    case PlanKind::BatchSharded3D: return "batchsharded3d";
     case PlanKind::Mixed3D: return "mixed3d";
     default: return "convolution";
   }
@@ -161,8 +159,7 @@ struct PlanDesc {
     s += std::to_string(shape.nz);
     s += dir == Direction::Forward ? " fwd " : " inv ";
     s += precision_name(precision);
-    if (kind == PlanKind::OutOfCore || kind == PlanKind::Sharded3D ||
-        kind == PlanKind::BatchSharded3D) {
+    if (kind == PlanKind::OutOfCore || kind == PlanKind::Sharded3D) {
       s += " splits=";
       s += std::to_string(splits);
     }
@@ -252,6 +249,10 @@ struct PlanDesc {
     return d;
   }
 
+  /// The paper's single-card streamed plan with `splits` Z slabs. On a
+  /// group-attached PlanRegistry the same plan deals whole volumes to the
+  /// members — no exchange, results bit-identical to sharded3d of the
+  /// same (n, splits, dir).
   static PlanDesc out_of_core(std::size_t n, std::size_t splits,
                               Direction dir) {
     PlanDesc d;
@@ -269,22 +270,6 @@ struct PlanDesc {
                             Direction dir) {
     PlanDesc d;
     d.kind = PlanKind::Sharded3D;
-    d.shape = cube(n);
-    d.dir = dir;
-    d.splits = shards;
-    return d;
-  }
-
-  /// Whole volumes dealt round-robin to the members of a sim::DeviceGroup
-  /// — no inter-device exchange at all; each member runs the single-card
-  /// out-of-core schedule with decimation `shards`, so results are
-  /// bit-identical to sharded3d of the same (n, shards, dir). Only
-  /// constructible through a group-attached PlanRegistry; the plan is a
-  /// ShardedFft3DPlan whose every entry point deals.
-  static PlanDesc batch_sharded3d(std::size_t n, std::size_t shards,
-                                  Direction dir) {
-    PlanDesc d;
-    d.kind = PlanKind::BatchSharded3D;
     d.shape = cube(n);
     d.dir = dir;
     d.splits = shards;

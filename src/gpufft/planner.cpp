@@ -802,16 +802,10 @@ double model_plan_ms_impl(const sim::GpuSpec& spec, const PlanDesc& desc,
       return outofcore_ms(spec, desc, cfg, memo);
     case PlanKind::Sharded3D:
       return sharded_ms(spec, desc, cfg, memo);
-    case PlanKind::BatchSharded3D: {
-      // Per member the dealt schedule IS the single-card out-of-core one.
-      PlanDesc oc = desc;
-      oc.kind = PlanKind::OutOfCore;
-      return outofcore_ms(spec, oc, cfg, memo);
-    }
     default:
       REPRO_FAIL(
-          "the planner models Bandwidth3D, Mixed3D, Real3D, OutOfCore, "
-          "Sharded3D and BatchSharded3D plans");
+          "the planner models Bandwidth3D, Mixed3D, Real3D, OutOfCore and "
+          "Sharded3D plans");
   }
 }
 
@@ -956,11 +950,17 @@ std::string hex64(std::uint64_t v) {
 }
 
 bool parse_kind(const std::string& s, PlanKind& out) {
+  // Wisdom written when dealt group plans had their own kind still reads:
+  // they were OutOfCore plans on a group registry.
+  if (s == "batchsharded3d") {
+    out = PlanKind::OutOfCore;
+    return true;
+  }
   for (const PlanKind k :
        {PlanKind::Bandwidth3D, PlanKind::Conventional3D, PlanKind::Naive3D,
         PlanKind::Bandwidth2D, PlanKind::Batch1D, PlanKind::OutOfCore,
         PlanKind::Convolution, PlanKind::Sharded3D, PlanKind::Real3D,
-        PlanKind::BatchSharded3D, PlanKind::Mixed3D}) {
+        PlanKind::Mixed3D}) {
     if (s == plan_kind_name(k)) {
       out = k;
       return true;
@@ -1080,10 +1080,10 @@ Decomposition choose_decomposition(sim::DeviceGroup& group,
               .decomp != Decomposition::Pencil) {
     return Decomposition::Slab;
   }
-  const double slab_ms = priced_sharded_ms(group, desc, Decomposition::Slab,
-                                            1, BatchMode::Serial);
-  const double pencil_ms = priced_sharded_ms(
-      group, desc, Decomposition::Pencil, 1, BatchMode::Serial);
+  const double slab_ms =
+      priced_sharded_ms(group, desc, Decomposition::Slab, 1);
+  const double pencil_ms =
+      priced_sharded_ms(group, desc, Decomposition::Pencil, 1);
   return pencil_ms < slab_ms ? Decomposition::Pencil : Decomposition::Slab;
 }
 

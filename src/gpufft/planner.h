@@ -91,7 +91,7 @@ struct TuneResult {
 /// Closed-form model time (ms) of one candidate config for `desc` on
 /// `spec`. Returns +infinity for infeasible candidates (occupancy failure,
 /// indivisible radix or slab depth). Supported kinds: Bandwidth3D,
-/// Mixed3D, Real3D, OutOfCore, Sharded3D, BatchSharded3D.
+/// Mixed3D, Real3D, OutOfCore, Sharded3D.
 double model_plan_ms(const sim::GpuSpec& spec, const PlanDesc& desc,
                      const TuneConfig& cfg);
 

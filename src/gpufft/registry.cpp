@@ -59,7 +59,6 @@ std::shared_ptr<FftPlanT<T>> make_plan(Device& dev, const PlanDesc& desc,
         }
         return std::make_shared<ShardedFft3DPlan>(*group, desc);
       case PlanKind::Sharded3D:
-      case PlanKind::BatchSharded3D:
         REPRO_CHECK_MSG(group != nullptr,
                         "sharded plans span a device fleet; obtain them "
                         "through PlanRegistry::of(sim::DeviceGroup&)");
@@ -287,8 +286,7 @@ std::size_t PlanRegistry::plan_headroom_bytes(const PlanDesc& desc) {
   std::size_t elems = desc.buffer_elements();
   std::size_t host_staging = 0;
   if ((desc.kind == PlanKind::OutOfCore ||
-       desc.kind == PlanKind::Sharded3D ||
-       desc.kind == PlanKind::BatchSharded3D) &&
+       desc.kind == PlanKind::Sharded3D) &&
       desc.splits != 0) {
     // Streaming plans never hold the full volume on a card: their device
     // working set is the double-buffered slab pair. Sharded plans do hold

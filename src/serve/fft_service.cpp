@@ -98,10 +98,9 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
 std::shared_ptr<gpufft::ShardedFft3DPlan> FftService::plan_for(
     const PlanDesc& desc) {
   REPRO_CHECK_MSG(desc.kind == PlanKind::Sharded3D ||
-                      desc.kind == PlanKind::BatchSharded3D ||
                       desc.kind == PlanKind::OutOfCore,
-                  "FftService serves Sharded3D, BatchSharded3D and "
-                  "OutOfCore descriptions; got " +
+                  "FftService serves Sharded3D and OutOfCore descriptions; "
+                  "got " +
                       desc.to_string());
   auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
       PlanRegistry::of(group_).get_or_create(desc));

@@ -153,8 +153,8 @@ class FftService {
                    const std::vector<std::vector<cxf>>& snapshot,
                    gpufft::BatchStrategy strategy, ServiceReport& rep);
 
-  /// The group registry's plan for a Sharded3D, BatchSharded3D or
-  /// OutOfCore `desc`, carrying the service's ExecPolicy.
+  /// The group registry's plan for a Sharded3D or OutOfCore `desc`,
+  /// carrying the service's ExecPolicy.
   std::shared_ptr<gpufft::ShardedFft3DPlan> plan_for(
       const gpufft::PlanDesc& desc);
 

@@ -1,5 +1,5 @@
 // Batched multi-volume execution: the dealt batch
-// (ShardedFft3DPlan::deal_batch, and the BatchSharded3D plan that always
+// (ShardedFft3DPlan::deal_batch, and the OutOfCore group plan that always
 // deals), the pipelined sharded batch, bit-identity of every schedule
 // against the serial reference, exact pricing of the pipelined issue
 // order and of the deal-vs-shard decision, and mid-batch DeviceLost
@@ -44,7 +44,7 @@ std::vector<std::span<cxf>> spans_of(std::vector<std::vector<cxf>>& v) {
 }
 
 /// Reference results: each volume through the serial sharded schedule on
-/// a fresh group (the PR 3 behavior every batch path must reproduce).
+/// a fresh group (the behavior every batch path must reproduce).
 std::vector<std::vector<cxf>> serial_reference(
     std::size_t n, std::size_t shards, Direction dir,
     const std::vector<std::vector<cxf>>& inputs) {
@@ -53,6 +53,15 @@ std::vector<std::vector<cxf>> serial_reference(
   std::vector<std::vector<cxf>> out = inputs;
   for (auto& v : out) plan.execute(std::span<cxf>(v));
   return out;
+}
+
+/// Makespan of one execute() per volume, back to back — the serial
+/// schedule a verifying exec policy runs.
+double serial_batch_ms(ShardedFft3DPlan& plan,
+                       std::span<const std::span<cxf>> volumes) {
+  const double t0 = plan.group().elapsed_ms();
+  for (const auto& v : volumes) plan.execute(v);
+  return plan.group().elapsed_ms() - t0;
 }
 
 TEST(BatchSharded, DealtBatchBitIdenticalToShardedAnyGroupSize) {
@@ -65,7 +74,7 @@ TEST(BatchSharded, DealtBatchBitIdenticalToShardedAnyGroupSize) {
   for (const std::size_t devices : {1u, 2u, 3u}) {
     sim::DeviceGroup group(devices, sim::geforce_8800_gts());
     ShardedFft3DPlan plan(
-        group, PlanDesc::batch_sharded3d(n, shards, Direction::Forward));
+        group, PlanDesc::out_of_core(n, shards, Direction::Forward));
     auto data = inputs;
     auto spans = spans_of(data);
     const auto bt = plan.execute_batch(spans);
@@ -97,7 +106,7 @@ TEST(BatchSharded, PipelinedBatchBitIdenticalToSerialAcrossGroups) {
       ShardedFft3DPlan plan(group, n, shards, dir);
       auto data = inputs;
       auto spans = spans_of(data);
-      const auto bt = plan.execute_batch(spans, BatchMode::Pipelined);
+      const auto bt = plan.execute_batch(spans);
       EXPECT_EQ(bt.volume_done_ms.size(), 3u);
       for (std::size_t k = 0; k < data.size(); ++k) {
         EXPECT_TRUE(bit_identical(data[k], ref[k]))
@@ -127,17 +136,17 @@ TEST(BatchSharded, PipelinedImprovesMakespanOnDualEngineCards) {
 
   auto serial_data = inputs;
   auto serial_spans = spans_of(serial_data);
-  const auto serial = plan.execute_batch(serial_spans, BatchMode::Serial);
+  const double serial_ms = serial_batch_ms(plan, serial_spans);
 
   auto pipe_data = inputs;
   auto pipe_spans = spans_of(pipe_data);
-  const auto piped = plan.execute_batch(pipe_spans, BatchMode::Pipelined);
+  const auto piped = plan.execute_batch(pipe_spans);
 
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     EXPECT_TRUE(bit_identical(pipe_data[k], serial_data[k])) << k;
   }
-  const double gain = serial.makespan_ms / piped.makespan_ms;
-  EXPECT_GE(gain, 1.2) << "serial=" << serial.makespan_ms
+  const double gain = serial_ms / piped.makespan_ms;
+  EXPECT_GE(gain, 1.2) << "serial=" << serial_ms
                        << " pipelined=" << piped.makespan_ms;
 }
 
@@ -173,7 +182,7 @@ TEST(BatchSharded, PricedLookaheadCandidatesAreExact) {
       for (std::size_t la = 0; la < kPipelineContexts; ++la) {
         const double priced =
             priced_sharded_ms(group, plan.desc(), plan.decomposition(),
-                              batch, BatchMode::Pipelined, {}, la);
+                              batch, {}, la);
         group.reset_clocks();
         EXPECT_EQ(ShardedPlanTestAccess::run_pipelined(plan, spans, la)
                       .makespan_ms,
@@ -183,8 +192,7 @@ TEST(BatchSharded, PricedLookaheadCandidatesAreExact) {
       const IssueOrder best = priced_issue_order(
           group, plan.desc(), plan.decomposition(), batch);
       group.reset_clocks();
-      EXPECT_EQ(plan.execute_batch(spans, BatchMode::Pipelined).makespan_ms,
-                best.ms);
+      EXPECT_EQ(plan.execute_batch(spans).makespan_ms, best.ms);
     }
   }
 }
@@ -215,8 +223,7 @@ PricedChoice run_priced_choice(std::size_t devices, std::size_t n,
   auto shard_data = make_volumes(batch, n, 500 + batch);
   auto shard_spans = spans_of(shard_data);
   group.reset_clocks();
-  r.sharded_ms =
-      plan.execute_batch(shard_spans, BatchMode::Pipelined).makespan_ms;
+  r.sharded_ms = plan.execute_batch(shard_spans).makespan_ms;
 
   EXPECT_EQ(r.dealt_ms, r.choice.deal_ms) << "batch=" << batch;
   EXPECT_EQ(r.sharded_ms, r.choice.shard_ms) << "batch=" << batch;
@@ -289,7 +296,7 @@ TEST(BatchSharded, PipelinedBatchSurvivesMidStreamDeviceLost) {
   auto count_data = inputs;
   auto count_spans = spans_of(count_data);
   const std::uint64_t total = occurrences_for(group, 2, [&] {
-    plan.execute_batch(count_spans, BatchMode::Pipelined);
+    plan.execute_batch(count_spans);
   });
   ASSERT_GT(total, 0u);
 
@@ -301,7 +308,7 @@ TEST(BatchSharded, PipelinedBatchSurvivesMidStreamDeviceLost) {
   const auto before = recovery_counters().device_lost_failovers;
   auto data = inputs;
   auto spans = spans_of(data);
-  const auto bt = fplan.execute_batch(spans, BatchMode::Pipelined);
+  const auto bt = fplan.execute_batch(spans);
   EXPECT_EQ(bt.volume_done_ms.size(), 4u);
   EXPECT_GT(recovery_counters().device_lost_failovers, before);
   EXPECT_EQ(fresh.alive_count(), 3u);
@@ -316,7 +323,7 @@ TEST(BatchSharded, DealtBatchSurvivesMidStreamDeviceLost) {
   const auto inputs = make_volumes(4, n, 707);
   const auto ref = serial_reference(n, shards, Direction::Forward, inputs);
 
-  const PlanDesc desc = PlanDesc::batch_sharded3d(n, shards, Direction::Forward);
+  const PlanDesc desc = PlanDesc::out_of_core(n, shards, Direction::Forward);
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
   ShardedFft3DPlan plan(group, desc);
   auto count_data = inputs;
@@ -347,10 +354,10 @@ TEST(BatchSharded, RegistryFrontDoorServesBatchShardedPlans) {
   const std::size_t n = 32;
   sim::DeviceGroup group(3, sim::geforce_8800_gts());
   auto& reg = PlanRegistry::of(group);
-  const auto desc = PlanDesc::batch_sharded3d(n, 4, Direction::Forward);
+  const auto desc = PlanDesc::out_of_core(n, 4, Direction::Forward);
   auto plan = reg.get_or_create(desc);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->desc().kind, PlanKind::BatchSharded3D);
+  EXPECT_EQ(plan->desc().kind, PlanKind::OutOfCore);
 
   auto inputs = make_volumes(2, n, 808);
   const auto ref = serial_reference(n, 4, Direction::Forward, inputs);
@@ -405,7 +412,7 @@ TEST(BatchSharded, DealtTimelineMatchesTheRecordedSchedule) {
   const std::size_t n = 32;
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
   ShardedFft3DPlan plan(group,
-                        PlanDesc::batch_sharded3d(n, 4, Direction::Forward));
+                        PlanDesc::out_of_core(n, 4, Direction::Forward));
   std::vector<std::vector<cxf>> data;
   for (std::uint64_t k = 0; k < 3; ++k) {
     data.push_back(random_complex<float>(n * n * n, 40 + k));
@@ -446,8 +453,6 @@ TEST(BatchSharded, FullyLostFleetRaisesDeviceLostFromEveryKind) {
   const auto sharded = reg.get_or_create(
       PlanDesc::sharded3d(n, 4, Direction::Forward));
   const auto dealt = reg.get_or_create(
-      PlanDesc::batch_sharded3d(n, 4, Direction::Forward));
-  const auto one_card = reg.get_or_create(
       PlanDesc::out_of_core(n, 4, Direction::Forward));
   group.faults(0).arm(sim::FaultKind::DeviceLost, 1);
   group.faults(1).arm(sim::FaultKind::DeviceLost, 1);
@@ -456,7 +461,7 @@ TEST(BatchSharded, FullyLostFleetRaisesDeviceLostFromEveryKind) {
                sim::DeviceLostError);
   ASSERT_EQ(group.alive_count(), 0u);
   // With nobody left, every kind fails typed before doing any work.
-  for (const auto& plan : {sharded, dealt, one_card}) {
+  for (const auto& plan : {sharded, dealt}) {
     SCOPED_TRACE(plan->desc().to_string());
     EXPECT_THROW(plan->execute_host(std::span<cxf>(data[0])),
                  sim::DeviceLostError);

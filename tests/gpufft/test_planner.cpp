@@ -216,6 +216,30 @@ TEST(Wisdom, PlanLineRoundTrips) {
   EXPECT_FALSE(parse_wisdom_line("plan kind=warp | tpb=64", d2, c2));
 }
 
+TEST(Wisdom, OldDealtKindSpellingReadsAsOutOfCore) {
+  // Dealt group plans once had their own kind, "batchsharded3d"; they are
+  // OutOfCore plans on a group registry now, and old wisdom still imports.
+  const auto desc = PlanDesc::out_of_core(64, 8, Direction::Forward);
+  std::string wisdom;
+  TuneConfig tuned;
+  {
+    Device dev(sim::geforce_8800_gtx());
+    auto& reg = PlanRegistry::of(dev);
+    tuned = reg.tuned_config(desc);
+    wisdom = reg.export_wisdom();
+  }
+  const std::string now_spelled = "kind=outofcore";
+  const std::size_t at = wisdom.find(now_spelled);
+  ASSERT_NE(at, std::string::npos) << wisdom;
+  wisdom.replace(at, now_spelled.size(), "kind=batchsharded3d");
+
+  Device dev(sim::geforce_8800_gtx());
+  auto& reg = PlanRegistry::of(dev);
+  ASSERT_EQ(reg.import_wisdom(wisdom), 1u) << wisdom;
+  EXPECT_EQ(reg.tuned_config(desc), tuned);
+  EXPECT_EQ(reg.tune_searches(), 0u);
+}
+
 TEST(Wisdom, FingerprintSeesModelRelevantMutations) {
   const auto base = sim::geforce_8800_gtx();
   auto banks = base;

@@ -406,7 +406,7 @@ TEST(ShardedReal, PipelinedBatchMatchesPerVolumeExecutes) {
                 peer ? Exchange::Peer : Exchange::HostStaged);
 
       std::vector<std::span<cxf>> volumes(batch.begin(), batch.end());
-      const auto t = plan.execute_batch(volumes, BatchMode::Pipelined);
+      const auto t = plan.execute_batch(volumes);
       ASSERT_EQ(t.volume_done_ms.size(), 3u);
       // The FftPlan batch entry point runs the same pipelined schedule.
       std::vector<std::span<cxf>> host_volumes(host_batch.begin(),

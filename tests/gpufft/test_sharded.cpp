@@ -142,28 +142,28 @@ TEST(Sharded, GroupOfOnePinsTheOutOfCoreTimeline) {
   const auto tb = reference.execute(std::span<cxf>(b));
 
   EXPECT_TRUE(bit_identical(a, b));
-  EXPECT_DOUBLE_EQ(ta.makespan_ms, tb.makespan_ms);
+  EXPECT_EQ(ta.makespan_ms, tb.makespan_ms);
   Device& d = group.device(0);
-  EXPECT_DOUBLE_EQ(d.elapsed_ms(), bare.elapsed_ms());
-  EXPECT_DOUBLE_EQ(d.h2d_ms(), bare.h2d_ms());
-  EXPECT_DOUBLE_EQ(d.d2h_ms(), bare.d2h_ms());
+  EXPECT_EQ(d.elapsed_ms(), bare.elapsed_ms());
+  EXPECT_EQ(d.h2d_ms(), bare.h2d_ms());
+  EXPECT_EQ(d.d2h_ms(), bare.d2h_ms());
   EXPECT_EQ(d.h2d_bytes(), bare.h2d_bytes());
   EXPECT_EQ(d.d2h_bytes(), bare.d2h_bytes());
   ASSERT_EQ(d.history().size(), bare.history().size());
   for (std::size_t i = 0; i < d.history().size(); ++i) {
     EXPECT_EQ(d.history()[i].name, bare.history()[i].name);
-    EXPECT_DOUBLE_EQ(d.history()[i].total_ms, bare.history()[i].total_ms);
+    EXPECT_EQ(d.history()[i].total_ms, bare.history()[i].total_ms);
   }
   // And the per-bucket sums coincide with the out-of-core buckets.
   ASSERT_EQ(ta.devices.size(), 1u);
   ASSERT_EQ(tb.devices.size(), 1u);
-  EXPECT_DOUBLE_EQ(ta.devices[0].h2d1_ms, tb.devices[0].h2d1_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].fft1_ms, tb.devices[0].fft1_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].twiddle_ms, tb.devices[0].twiddle_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].d2h1_ms, tb.devices[0].d2h1_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].h2d2_ms, tb.devices[0].h2d2_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].fft2_ms, tb.devices[0].fft2_ms);
-  EXPECT_DOUBLE_EQ(ta.devices[0].d2h2_ms, tb.devices[0].d2h2_ms);
+  EXPECT_EQ(ta.devices[0].h2d1_ms, tb.devices[0].h2d1_ms);
+  EXPECT_EQ(ta.devices[0].fft1_ms, tb.devices[0].fft1_ms);
+  EXPECT_EQ(ta.devices[0].twiddle_ms, tb.devices[0].twiddle_ms);
+  EXPECT_EQ(ta.devices[0].d2h1_ms, tb.devices[0].d2h1_ms);
+  EXPECT_EQ(ta.devices[0].h2d2_ms, tb.devices[0].h2d2_ms);
+  EXPECT_EQ(ta.devices[0].fft2_ms, tb.devices[0].fft2_ms);
+  EXPECT_EQ(ta.devices[0].d2h2_ms, tb.devices[0].d2h2_ms);
 }
 
 TEST(Sharded, ExchangeAndByteAccounting) {
@@ -201,8 +201,8 @@ TEST(Sharded, ExchangeAndByteAccounting) {
 void expect_priced_equals_executed(sim::DeviceGroup& group,
                                    ShardedFft3DPlan& plan,
                                    std::vector<cxf> data) {
-  const double priced = priced_sharded_ms(
-      group, plan.desc(), plan.decomposition(), 1, BatchMode::Serial);
+  const double priced =
+      priced_sharded_ms(group, plan.desc(), plan.decomposition(), 1);
   group.reset_clocks();
   EXPECT_EQ(plan.execute(std::span<cxf>(data)).makespan_ms, priced);
 }
@@ -300,6 +300,121 @@ TEST(Sharded, BatchHostRunsVolumesBackToBack) {
   EXPECT_TRUE(bit_identical(v0, s0));
   EXPECT_TRUE(bit_identical(v1, s1));
   EXPECT_GT(plan.last_total_ms(), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// One volume loop: a lone volume is a batch of one
+// ---------------------------------------------------------------------
+
+/// `a` and `b` ran the same volume on equal fleets `ga` and `gb`: same
+/// makespan, every bucket, and every member's launch history.
+void expect_same_run(const ShardedTiming& a, sim::DeviceGroup& ga,
+                     const ShardedTiming& b, sim::DeviceGroup& gb) {
+  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+  EXPECT_EQ(a.barrier_ms, b.barrier_ms);
+  ASSERT_EQ(a.devices.size(), b.devices.size());
+  for (std::size_t d = 0; d < a.devices.size(); ++d) {
+    SCOPED_TRACE("device " + std::to_string(d));
+    const ShardTiming& x = a.devices[d];
+    const ShardTiming& y = b.devices[d];
+    EXPECT_EQ(x.h2d1_ms, y.h2d1_ms);
+    EXPECT_EQ(x.fft1_ms, y.fft1_ms);
+    EXPECT_EQ(x.twiddle_ms, y.twiddle_ms);
+    EXPECT_EQ(x.d2h1_ms, y.d2h1_ms);
+    EXPECT_EQ(x.h2d2_ms, y.h2d2_ms);
+    EXPECT_EQ(x.fft2_ms, y.fft2_ms);
+    EXPECT_EQ(x.d2h2_ms, y.d2h2_ms);
+    EXPECT_EQ(x.exchange_bytes, y.exchange_bytes);
+    const auto& ha = ga.device(d).history();
+    const auto& hb = gb.device(d).history();
+    ASSERT_EQ(ha.size(), hb.size());
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+      EXPECT_EQ(ha[i].name, hb[i].name);
+      EXPECT_EQ(ha[i].total_ms, hb[i].total_ms);
+    }
+  }
+}
+
+TEST(Sharded, LoneBatchReproducesExecuteExactly) {
+  const std::size_t n = 64;
+  const auto input = random_complex<float>(n * n * n, 34);
+  const std::shared_ptr<const sim::Topology> tree;
+  const std::shared_ptr<const sim::Topology> mesh =
+      std::make_shared<sim::PeerMeshTopology>(4);
+  for (const auto& topo : {tree, mesh}) {
+    SCOPED_TRACE(topo ? "mesh" : "tree");
+    const std::size_t devices = topo ? 4 : 2;
+    sim::DeviceGroup ga(devices, sim::geforce_8800_gts(), topo);
+    sim::DeviceGroup gb(devices, sim::geforce_8800_gts(), topo);
+    ShardedFft3DPlan pa(ga, n, 4, Direction::Forward);
+    ShardedFft3DPlan pb(gb, n, 4, Direction::Forward);
+    std::vector<cxf> a = input;
+    std::vector<cxf> b = input;
+    const ShardedTiming ta = pa.execute(std::span<cxf>(a));
+    const std::span<cxf> one[] = {std::span<cxf>(b)};
+    const ShardedBatchTiming tb = pb.execute_batch(one);
+    EXPECT_TRUE(bit_identical(a, b));
+    expect_same_run(ta, ga, tb.total, gb);
+    EXPECT_EQ(pb.last_layout().exchange, pa.last_layout().exchange);
+  }
+}
+
+TEST(Sharded, LoneBatchPeaksLikeExecute) {
+  // A batch of one holds one volume context and no extra host staging
+  // volume, so its in-flight peak is execute()'s (2 x 8800 GTS, 64^3 / 4,
+  // host-staged).
+  const std::size_t n = 64;
+  const auto input = random_complex<float>(n * n * n, 33);
+  const auto peak = [&](bool batch) {
+    sim::DeviceGroup group(2, sim::geforce_8800_gts());
+    ShardedFft3DPlan plan(group, n, 4, Direction::Forward);
+    std::vector<cxf> data = input;
+    if (batch) {
+      const std::span<cxf> one[] = {std::span<cxf>(data)};
+      plan.execute_batch(one);
+    } else {
+      plan.execute(std::span<cxf>(data));
+    }
+    return group.peak_bytes_in_flight();
+  };
+  EXPECT_EQ(peak(true), peak(false));
+}
+
+TEST(Sharded, LoneVolumeLosingACardInPhaseTwoRerunsOnlyPhaseTwo) {
+  // Host-staged phase 1 leaves every staged plane in host memory, so a
+  // card lost in phase 2 costs only phase 2: the survivors re-run it
+  // from host staging, and phase 1 ran once.
+  const std::size_t n = 32;
+  const std::size_t shards = 4;
+  const auto input = random_complex<float>(n * n * n, 35);
+
+  sim::DeviceGroup clean(2, sim::geforce_8800_gts());
+  ShardedFft3DPlan cplan(clean, n, shards, Direction::Forward);
+  clean.faults(1).disarm_all();
+  std::vector<cxf> want = input;
+  const ShardedTiming tc = cplan.execute(std::span<cxf>(want));
+  // Member 1's last occurrence is its last phase-2 download.
+  const std::uint64_t last =
+      clean.faults(1).occurrences(sim::FaultKind::DeviceLost);
+  ASSERT_GT(last, 0u);
+
+  sim::DeviceGroup group(2, sim::geforce_8800_gts());
+  ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
+  group.faults(1).arm(sim::FaultKind::DeviceLost, last);
+  const RecoveryScope scope;
+  std::vector<cxf> got = input;
+  const ShardedTiming t = plan.execute(std::span<cxf>(got));
+  EXPECT_TRUE(bit_identical(got, want));
+  EXPECT_EQ(scope.delta().device_lost_failovers, 1u);
+  EXPECT_EQ(group.alive_count(), 1u);
+  EXPECT_EQ(plan.last_layout().members, 1u);
+  for (std::size_t d = 0; d < 2; ++d) {
+    SCOPED_TRACE("device " + std::to_string(d));
+    EXPECT_EQ(t.devices[d].h2d1_ms, tc.devices[d].h2d1_ms);
+    EXPECT_EQ(t.devices[d].fft1_ms, tc.devices[d].fft1_ms);
+    EXPECT_EQ(t.devices[d].twiddle_ms, tc.devices[d].twiddle_ms);
+    EXPECT_EQ(t.devices[d].d2h1_ms, tc.devices[d].d2h1_ms);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -602,7 +717,7 @@ TEST(ShardedTopology, BatchPipelinesOverThePeerFabric) {
 
   std::vector<std::span<cxf>> volumes{std::span<cxf>(v0), std::span<cxf>(v1),
                                       std::span<cxf>(v2)};
-  const auto t = plan.execute_batch(volumes, BatchMode::Pipelined);
+  const auto t = plan.execute_batch(volumes);
   EXPECT_TRUE(bit_identical(v0, s0));
   EXPECT_TRUE(bit_identical(v1, s1));
   EXPECT_TRUE(bit_identical(v2, s2));
@@ -615,10 +730,9 @@ TEST(ShardedTopology, BatchPipelinesOverThePeerFabric) {
   auto w0 = s0;
   auto w1 = s1;
   auto w2 = s2;
-  std::vector<std::span<cxf>> wv{std::span<cxf>(w0), std::span<cxf>(w1),
-                                 std::span<cxf>(w2)};
-  const auto ts = serial.execute_batch(wv, BatchMode::Serial);
-  EXPECT_LE(t.makespan_ms, ts.makespan_ms * (1.0 + 1e-9));
+  const double t0 = mesh2.elapsed_ms();
+  for (auto* w : {&w0, &w1, &w2}) serial.execute(std::span<cxf>(*w));
+  EXPECT_LE(t.makespan_ms, (mesh2.elapsed_ms() - t0) * (1.0 + 1e-9));
 }
 
 // ---------------------------------------------------------------------

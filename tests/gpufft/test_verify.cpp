@@ -165,7 +165,7 @@ TEST(Verify, ParsevalRepairsKernelCorruptOnBatchShardedPlans) {
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
   auto plan = std::dynamic_pointer_cast<ShardedFft3DPlan>(
       PlanRegistry::of(group).get_or_create(
-          PlanDesc::batch_sharded3d(n, 4, Direction::Forward)));
+          PlanDesc::out_of_core(n, 4, Direction::Forward)));
   ASSERT_NE(plan, nullptr);
   ExecPolicy policy;
   policy.verify = VerifyPolicy::Parseval;

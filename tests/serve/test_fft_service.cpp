@@ -361,7 +361,6 @@ TEST(FftService, FullyLostFleetFailsEveryRequestTyped) {
   auto& reg = gpufft::PlanRegistry::of(group);
   const std::vector<PlanDesc> descs = {
       PlanDesc::sharded3d(n, 4, Direction::Forward),
-      PlanDesc::batch_sharded3d(n, 4, Direction::Forward),
       PlanDesc::out_of_core(n, 4, Direction::Forward),
       PlanDesc::sharded_real3d(n, 4, Direction::Forward),
   };
@@ -371,7 +370,7 @@ TEST(FftService, FullyLostFleetFailsEveryRequestTyped) {
         random_complex<float>(descs[k].buffer_elements(), 99 + k));
   }
   std::vector<std::shared_ptr<gpufft::FftPlan>> plans;
-  for (std::size_t k = 0; k < 3; ++k) {
+  for (std::size_t k = 0; k < 2; ++k) {
     plans.push_back(reg.get_or_create(descs[k]));
   }
   group.faults(0).arm(sim::FaultKind::DeviceLost, 1);

@@ -606,7 +606,7 @@ TEST(LaunchMemo, RepeatedShardedExecutesOnAMeshAreAllHits) {
       std::vector<cxf> a = v0;
       std::vector<cxf> b = v1;
       const std::vector<std::span<cxf>> spans = {a, b};
-      plan.execute_batch(spans, BatchMode::Pipelined);
+      plan.execute_batch(spans);
       a.insert(a.end(), b.begin(), b.end());
       return a;
     });
