@@ -29,6 +29,9 @@ FineFftKernelT<T>::FineFftKernelT(DeviceBuffer<cx<T>>& in,
     REPRO_CHECK_MSG(device_tw_ != nullptr && device_tw_->size() >= params_.n,
                     "texture twiddles need a device table");
   }
+  index_ = FineIndex(params_.n, params_.threads_per_block,
+                     fine_min_sh_stride(params_.n, params_.shmem_pad_words),
+                     params_.shmem_pad_words);
 }
 
 template <typename T>
@@ -90,10 +93,9 @@ void FineFftKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const std::size_t tpt = n / 4;
   const unsigned block_dim = params_.threads_per_block;
   const std::size_t txs_pb = block_dim / tpt;
-  const std::size_t pad = params_.shmem_pad_words;
-  const std::size_t sh_per_tx = fine_min_sh_stride(n, pad);
+  const std::size_t sh_per_tx =
+      fine_min_sh_stride(n, params_.shmem_pad_words);
   const int sign = fft::direction_sign(params_.dir);
-  const auto sts = fine_stages(n);
 
   auto in = ctx.global(in_);
   auto out = ctx.global(out_);
@@ -132,8 +134,7 @@ void FineFftKernelT<T>::run_block(sim::BlockCtx& ctx) {
        base < params_.count;
        base += groups_per_wave) {
     run_fine_stages<T>(
-        ctx, sts, n, sign, sh, sh_per_tx, pad, base, params_.count,
-        vals.data(), tmp.data(),
+        ctx, index_, sign, sh, base, params_.count, vals.data(), tmp.data(),
         [&](sim::ThreadCtx& t, std::size_t tx, std::size_t pos) {
           return in.load(t, tx * n + pos);
         },

@@ -60,6 +60,7 @@ class FineFftKernelT final : public sim::Kernel {
   FineKernelParams params_;
   std::vector<cx<T>> roots_n_;
   const DeviceBuffer<cx<T>>* device_tw_;
+  FineIndex index_;
 };
 
 extern template class FineFftKernelT<float>;

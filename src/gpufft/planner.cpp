@@ -84,12 +84,13 @@ Shape5 view_with_l(const std::array<std::size_t, 4>& items, std::size_t l,
   return s;
 }
 
+/// Element index of item `it`'s slot 0 in view `s` (slot q sits
+/// q * s.stride(pos) elements further: Shape5::at is linear).
 std::size_t index_with_l(const Shape5& s, std::size_t pos,
-                         const std::array<std::size_t, 4>& it,
-                         std::size_t q) {
+                         const std::array<std::size_t, 4>& it) {
   std::array<std::size_t, 5> idx{};
   std::size_t ii = 0;
-  for (std::size_t d = 0; d < 5; ++d) idx[d] = d == pos ? q : it[ii++];
+  for (std::size_t d = 0; d < 5; ++d) idx[d] = d == pos ? 0 : it[ii++];
   return s.at(idx[0], idx[1], idx[2], idx[3], idx[4]);
 }
 
@@ -157,6 +158,7 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
   const std::size_t rounds = std::min<std::size_t>(per_thread, 6);
 
   std::vector<sim::LaneAccess> lanes;
+  std::array<sim::LaneAccess, 16> slot0{};
   std::array<std::size_t, 4> it{};
   for (std::size_t w = 0; w < sampled_warps; ++w) {
     auto& stream = stats.warp_streams[w];
@@ -167,22 +169,24 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
         // stores, slot-aligned across the half-warp.
         auto emit = [&](const Shape5& view, std::size_t pos,
                         std::uint64_t base) {
+          std::size_t active = 0;
+          for (unsigned ln = 0; ln < 16; ++ln) {
+            const std::size_t widx = gid0 + ln + r * threads;
+            if (widx >= items_total) continue;
+            it[0] = widx % st.items[0];
+            it[1] = (widx / st.items[0]) % st.items[1];
+            it[2] = (widx / (st.items[0] * st.items[1])) % st.items[2];
+            it[3] = widx / (st.items[0] * st.items[1] * st.items[2]);
+            slot0[active++] = sim::LaneAccess{
+                static_cast<int>(ln),
+                base + index_with_l(view, pos, it) * esize,
+                static_cast<std::uint32_t>(esize)};
+          }
+          if (active == 0) return;
+          const std::uint64_t q_step = view.stride(pos) * esize;
           for (std::size_t q = 0; q < st.l; ++q) {
-            lanes.clear();
-            for (unsigned ln = 0; ln < 16; ++ln) {
-              const std::size_t widx = gid0 + ln + r * threads;
-              if (widx >= items_total) continue;
-              it[0] = widx % st.items[0];
-              it[1] = (widx / st.items[0]) % st.items[1];
-              it[2] = (widx / (st.items[0] * st.items[1])) % st.items[2];
-              it[3] = widx / (st.items[0] * st.items[1] * st.items[2]);
-              const std::uint64_t addr =
-                  base + index_with_l(view, pos, it, q) * esize;
-              lanes.push_back(sim::LaneAccess{
-                  static_cast<int>(ln), addr,
-                  static_cast<std::uint32_t>(esize)});
-            }
-            if (lanes.empty()) continue;
+            lanes.assign(slot0.begin(), slot0.begin() + active);
+            for (sim::LaneAccess& la : lanes) la.addr += q * q_step;
             stats.sampled_elem_bytes += lanes.size() * esize;
             sim::CoalesceResult cr = sim::coalesce_half_warp(lanes);
             if (cr.coalesced) {
@@ -255,33 +259,16 @@ struct FineModel {
 };
 
 /// Shared-memory serialization cycles of one block executing one wave,
-/// computed with the real accessor arithmetic of run_fine_stages() and
-/// the real conflict counter — this is where a mutated bank count changes
-/// the landscape the tuner sees.
-std::uint64_t fine_shmem_cycles_per_block(const FineModel& fm, unsigned tpb,
-                                          unsigned pad, int banks,
-                                          bool fp64) {
-  const auto sts = fine_stages(fm.n);
-  const std::size_t tpt = fm.tpt;
+/// computed over the kernels' own FineIndex with the real conflict
+/// counter — this is where a mutated bank count changes the landscape the
+/// tuner sees.
+std::uint64_t fine_shmem_cycles_per_block(const FineIndex& ix, unsigned tpb,
+                                          int banks, bool fp64) {
   const std::uint32_t words = fp64 ? 2 : 1;
   std::uint64_t cycles = 0;
   std::vector<sim::ShmemLaneAccess> lanes;
   const unsigned halfwarps = (tpb + 15) / 16;
-  for (std::size_t si = 1; si < sts.size(); ++si) {
-    const FineStage& prev = sts[si - 1];
-    const FineStage& st = sts[si];
-    auto out_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / prev.radix;
-      const std::size_t r = slot % prev.radix;
-      const std::size_t u = lane + b * tpt;
-      return u % prev.m + prev.m * (prev.radix * (u / prev.m) + r);
-    };
-    auto in_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / st.radix;
-      const std::size_t q = slot % st.radix;
-      const std::size_t u = lane + b * tpt;
-      return u % st.m + st.m * (u / st.m + st.l * q);
-    };
+  for (std::size_t si = 1; si < ix.stages().size(); ++si) {
     for (unsigned hw = 0; hw < halfwarps; ++hw) {
       // Four phases per exchange (store re, load re, store im, load im),
       // four slots per thread per phase.
@@ -291,13 +278,10 @@ std::uint64_t fine_shmem_cycles_per_block(const FineModel& fm, unsigned tpb,
           lanes.clear();
           for (unsigned ln = 0; ln < 16 && hw * 16 + ln < tpb; ++ln) {
             const unsigned tid = hw * 16 + ln;
-            const std::size_t sub = tid / tpt;
-            const std::size_t lane_tx = tid % tpt;
-            const std::size_t p =
-                use_out ? out_pos(lane_tx, s) : in_pos(lane_tx, s);
-            lanes.push_back(sim::ShmemLaneAccess{
-                static_cast<int>(ln),
-                (sub * fm.sh_stride + shmem_pad(p, pad)) * words, words});
+            const std::uint64_t i =
+                use_out ? ix.sh_out(si - 1, tid)[s] : ix.sh_in(si, tid)[s];
+            lanes.push_back(
+                sim::ShmemLaneAccess{static_cast<int>(ln), i * words, words});
           }
           cycles += static_cast<std::uint64_t>(
                         sim::shmem_conflict_degree(lanes, banks)) *
@@ -311,22 +295,19 @@ std::uint64_t fine_shmem_cycles_per_block(const FineModel& fm, unsigned tpb,
 
 /// Constant-cache serialization cycles of one block-wave: distinct twiddle
 /// indices per half-warp butterfly slot serialize (32 bits per cycle).
-std::uint64_t fine_const_cycles_per_block(const FineModel& fm,
+std::uint64_t fine_const_cycles_per_block(const FineIndex& ix,
                                           unsigned tpb) {
-  const auto sts = fine_stages(fm.n);
-  const std::size_t tpt = fm.tpt;
   std::uint64_t cycles = 0;
   std::vector<std::uint64_t> idxs;
   const unsigned halfwarps = (tpb + 15) / 16;
-  for (const FineStage& st : sts) {
-    const std::size_t bpt = 4 / st.radix;
+  for (std::size_t si = 0; si < ix.stages().size(); ++si) {
+    const std::size_t radix = ix.stages()[si].radix;
     for (unsigned hw = 0; hw < halfwarps; ++hw) {
-      for (std::size_t b = 0; b < bpt; ++b) {
-        for (std::size_t r = 1; r < st.radix; ++r) {
+      for (std::size_t b = 0; b < 4; b += radix) {
+        for (std::size_t r = 1; r < radix; ++r) {
           idxs.clear();
           for (unsigned ln = 0; ln < 16 && hw * 16 + ln < tpb; ++ln) {
-            const std::size_t u = (hw * 16 + ln) % tpt + b * tpt;
-            idxs.push_back(u / st.m * st.m * r);
+            idxs.push_back(ix.twiddle(si, hw * 16 + ln)[b + r]);
           }
           const std::size_t lanes_in_slot = idxs.size();
           std::sort(idxs.begin(), idxs.end());
@@ -388,13 +369,14 @@ double fine_step_ms(const sim::GpuSpec& spec, const FineModel& fm,
   // No sampled streams: sampled_elem_bytes stays 0, so estimate_launch
   // takes the ideal-bandwidth path and applies the serialization totals
   // below unscaled (scale == 1).
+  const FineIndex ix(fm.n, tpb, fm.sh_stride, cfg.shmem_pad_words);
   stats.shmem_thread_cycles = static_cast<std::uint64_t>(
-      static_cast<double>(fine_shmem_cycles_per_block(
-          fm, tpb, cfg.shmem_pad_words, spec.shmem_banks, fp64)) *
+      static_cast<double>(
+          fine_shmem_cycles_per_block(ix, tpb, spec.shmem_banks, fp64)) *
       (static_cast<double>(fm.count) / static_cast<double>(txs_pb)));
   if (cfg.fine_twiddles == TwiddleSource::Constant) {
     stats.const_thread_cycles = static_cast<std::uint64_t>(
-        static_cast<double>(fine_const_cycles_per_block(fm, tpb)) *
+        static_cast<double>(fine_const_cycles_per_block(ix, tpb)) *
         (static_cast<double>(fm.count) / static_cast<double>(txs_pb)));
   } else if (cfg.fine_twiddles == TwiddleSource::Texture) {
     stats.tex_elem_bytes = static_cast<std::uint64_t>(

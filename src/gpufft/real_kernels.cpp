@@ -25,6 +25,14 @@ void check_real_fine(const DeviceBuffer<cx<T>>& data,
   }
 }
 
+/// Stage index of both kernels: the (nx/2)-point stages exchange through
+/// the first of the two padded natural-order arrays.
+inline FineIndex real_fine_index(const RealFineParams& p) {
+  const std::size_t m = p.nx / 2;
+  return FineIndex(m, p.threads_per_block, shmem_pad(m, p.shmem_pad_words) + 1,
+                   p.shmem_pad_words);
+}
+
 /// Launch config shared by both kernels (they differ only in the fused
 /// pass's flop count).
 template <typename T>
@@ -90,6 +98,7 @@ RealFineR2CKernelT<T>::RealFineR2CKernelT(
       device_tw_half_(half_twiddles),
       device_tw_full_(unpack_twiddles) {
   check_real_fine(data_, params_, device_tw_half_, device_tw_full_);
+  index_ = real_fine_index(params_);
 }
 
 template <typename T>
@@ -171,7 +180,6 @@ void RealFineR2CKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const std::size_t arr = shmem_pad(m, pad) + 1;  // per-transform stride
   const std::size_t nyq = m * params_.count;  // Nyquist tail plane base
   const int sign = fft::direction_sign(Direction::Forward);
-  const auto sts = fine_stages(m);
 
   auto data = ctx.global(data_);
   auto sh_re = ctx.shared<T>(0, txs_pb * arr);
@@ -200,14 +208,14 @@ void RealFineR2CKernelT<T>::run_block(sim::BlockCtx& ctx) {
     // Z lands in the shared arrays (the final stage no longer reads the
     // exchange window, so the store may overwrite it).
     run_fine_stages<T>(
-        ctx, sts, m, sign, sh_re, arr, pad, base, params_.count, vals.data(),
+        ctx, index_, sign, sh_re, base, params_.count, vals.data(),
         tmp.data(),
         [&](sim::ThreadCtx& t, std::size_t tx, std::size_t pos) {
           return data.load(t, tx * m + pos);
         },
-        [&](sim::ThreadCtx& t, std::size_t /*tx*/, std::size_t pos,
+        [&](sim::ThreadCtx& t, std::size_t tx, std::size_t pos,
             const cx<T>& v) {
-          const std::size_t shb = (t.tid / tpt) * arr;
+          const std::size_t shb = (tx - base) * arr;
           sh_re.store(t, shb + shmem_pad(pos, pad), v.re);
           sh_im.store(t, shb + shmem_pad(pos, pad), v.im);
         },
@@ -251,6 +259,7 @@ RealFineC2RKernelT<T>::RealFineC2RKernelT(
       device_tw_half_(half_twiddles),
       device_tw_full_(pack_twiddles) {
   check_real_fine(data_, params_, device_tw_half_, device_tw_full_);
+  index_ = real_fine_index(params_);
 }
 
 template <typename T>
@@ -264,7 +273,6 @@ void RealFineC2RKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const std::size_t arr = shmem_pad(m, pad) + 1;
   const std::size_t nyq = m * params_.count;  // Nyquist tail plane base
   const int sign = fft::direction_sign(Direction::Inverse);
-  const auto sts = fine_stages(m);
   const T scale = static_cast<T>(params_.scale);
 
   auto data = ctx.global(data_, params_.elem_offset);
@@ -309,10 +317,10 @@ void RealFineC2RKernelT<T>::run_block(sim::BlockCtx& ctx) {
     // roots (fft/real.* algebra), then the half-length inverse transform
     // writes the packed real row back in natural order.
     run_fine_stages<T>(
-        ctx, sts, m, sign, sh_re, arr, pad, base, params_.count, vals.data(),
+        ctx, index_, sign, sh_re, base, params_.count, vals.data(),
         tmp.data(),
-        [&](sim::ThreadCtx& t, std::size_t /*tx*/, std::size_t pos) {
-          const std::size_t shb = (t.tid / tpt) * arr;
+        [&](sim::ThreadCtx& t, std::size_t tx, std::size_t pos) {
+          const std::size_t shb = (tx - base) * arr;
           const std::size_t ki = shmem_pad(pos, pad);
           const std::size_t mi = shmem_pad(m - pos, pad);
           const cx<T> xk{sh_re.load(t, shb + ki), sh_im.load(t, shb + ki)};

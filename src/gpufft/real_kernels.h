@@ -65,6 +65,7 @@ class RealFineR2CKernelT final : public sim::Kernel {
   std::vector<cx<T>> roots_full_;  ///< nx-point unpack roots
   const DeviceBuffer<cx<T>>* device_tw_half_;
   const DeviceBuffer<cx<T>>* device_tw_full_;
+  FineIndex index_;  ///< (nx/2)-point stages over this kernel's window
 };
 
 /// Inverse fused kernel: half-spectrum rows -> packed real rows (the
@@ -91,6 +92,7 @@ class RealFineC2RKernelT final : public sim::Kernel {
   std::vector<cx<T>> roots_full_;
   const DeviceBuffer<cx<T>>* device_tw_half_;
   const DeviceBuffer<cx<T>>* device_tw_full_;
+  FineIndex index_;  ///< (nx/2)-point stages over this kernel's window
 };
 
 extern template class RealFineR2CKernelT<float>;

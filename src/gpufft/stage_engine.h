@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "fft/factor.h"
@@ -137,168 +138,207 @@ inline double mixed_line_flops(std::size_t n) {
   return flops;
 }
 
-/// Run every stage of one wave of transforms: the block's `txs_pb`
-/// transform groups starting at group index `base` (groups past `count`
-/// are idle). Callbacks:
+/// Every index the staged transform derives from a thread id, built once
+/// per kernel object: none depends on the wave, so run_fine_stages()
+/// reads these tables instead of dividing per element. Tables hold one
+/// entry per register slot, four per thread, laid out tid * 4 + slot;
+/// slot b * radix + q is butterfly b's q-th value. Per-stage tables add a
+/// leading stage index. The planner's exchange and twiddle models walk
+/// the same tables, so kernel and model share one copy of the addressing.
+class FineIndex {
+ public:
+  FineIndex() = default;
+  /// Index of an n-point staged transform run by `threads` threads (whole
+  /// n/4-thread transform groups) over an exchange window of `sh_stride`
+  /// elements per group, padded every `pad_words` words (shmem_pad).
+  FineIndex(std::size_t n, std::size_t threads, std::size_t sh_stride,
+            std::size_t pad_words)
+      : stages_(fine_stages(n)), per_stage_(threads * 4) {
+    const std::size_t tpt = n / 4;
+    REPRO_CHECK(tpt > 0 && threads % tpt == 0);
+    const std::size_t n_stages = stages_.size();
+    sub_.resize(threads);
+    load_.resize(per_stage_);
+    store_.resize(per_stage_);
+    sh_in_.resize(n_stages * per_stage_);
+    sh_out_.resize(n_stages * per_stage_);
+    twiddle_.resize(n_stages * per_stage_);
+    for (std::size_t tid = 0; tid < threads; ++tid) {
+      const std::size_t sub = tid / tpt;
+      const std::size_t lane = tid % tpt;
+      const std::size_t shb = sub * sh_stride;
+      sub_[tid] = static_cast<std::uint32_t>(sub);
+      for (std::size_t si = 0; si < n_stages; ++si) {
+        const FineStage& st = stages_[si];
+        const std::size_t row = si * per_stage_ + tid * 4;
+        for (std::size_t b = 0; b < 4 / st.radix; ++b) {
+          const std::size_t u = lane + b * tpt;
+          const std::size_t j = u / st.m;
+          const std::size_t k = u % st.m;
+          for (std::size_t q = 0; q < st.radix; ++q) {
+            const std::size_t slot = b * st.radix + q;
+            const std::size_t in = k + st.m * (j + st.l * q);
+            const std::size_t out = k + st.m * (st.radix * j + q);
+            sh_in_[row + slot] =
+                static_cast<std::uint32_t>(shb + shmem_pad(in, pad_words));
+            sh_out_[row + slot] =
+                static_cast<std::uint32_t>(shb + shmem_pad(out, pad_words));
+            twiddle_[row + slot] = static_cast<std::uint32_t>(j * st.m * q);
+            if (si == 0) load_[tid * 4 + slot] = static_cast<std::uint32_t>(in);
+            if (si + 1 == n_stages) {
+              store_[tid * 4 + slot] = static_cast<std::uint32_t>(out);
+            }
+          }
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] const std::vector<FineStage>& stages() const {
+    return stages_;
+  }
+  /// Transform group of thread `tid` within the block (tid / (n/4)).
+  [[nodiscard]] std::size_t sub(unsigned tid) const { return sub_[tid]; }
+  /// Stage-0 input positions of the thread's four slots.
+  [[nodiscard]] const std::uint32_t* load(unsigned tid) const {
+    return load_.data() + tid * 4;
+  }
+  /// Natural-order output positions of the last stage's four slots.
+  [[nodiscard]] const std::uint32_t* store(unsigned tid) const {
+    return store_.data() + tid * 4;
+  }
+  /// Exchange-window index (group base plus padded position) of stage
+  /// `si`'s inputs, and of its outputs.
+  [[nodiscard]] const std::uint32_t* sh_in(std::size_t si,
+                                           unsigned tid) const {
+    return sh_in_.data() + si * per_stage_ + tid * 4;
+  }
+  [[nodiscard]] const std::uint32_t* sh_out(std::size_t si,
+                                            unsigned tid) const {
+    return sh_out_.data() + si * per_stage_ + tid * 4;
+  }
+  /// Twiddle index W_n^idx of stage `si`'s slots (0 for each butterfly's
+  /// untwiddled first value).
+  [[nodiscard]] const std::uint32_t* twiddle(std::size_t si,
+                                             unsigned tid) const {
+    return twiddle_.data() + si * per_stage_ + tid * 4;
+  }
+
+ private:
+  std::vector<FineStage> stages_;
+  std::size_t per_stage_{};
+  std::vector<std::uint32_t> sub_;
+  std::vector<std::uint32_t> load_;
+  std::vector<std::uint32_t> store_;
+  std::vector<std::uint32_t> sh_in_;
+  std::vector<std::uint32_t> sh_out_;
+  std::vector<std::uint32_t> twiddle_;
+};
+
+/// Run every stage of one wave of transforms: the block's transform
+/// groups starting at group index `base` (groups past `count` are idle),
+/// addressed through `ix`. Callbacks:
 ///   load(t, tx, pos)      -> cx<T>   stage-0 input `pos` of transform tx
 ///   store(t, tx, pos, v)             natural-order output `pos`
 ///   twiddle(t, idx)       -> cx<T>   W_n^idx through the kernel's path
-/// `sh` is the exchange window (stride `sh_stride` >= fine_min_sh_stride(n)
-/// elements per transform); `vals`/`tmp` are the emulated per-thread
-/// registers (4 per thread), allocated once by the caller across waves.
-/// The callbacks run inside barrier phases: `load` may read shared data
-/// written in a phase before this call, and `store` may overwrite the
-/// exchange window (the final phase no longer reads it).
+/// `sh` is the exchange window `ix` was built for; `vals`/`tmp` are the
+/// emulated per-thread registers (4 per thread), allocated once by the
+/// caller across waves. The callbacks run inside barrier phases: `load`
+/// may read shared data written in a phase before this call, and `store`
+/// may overwrite the exchange window (the final phase no longer reads it).
 template <typename T, typename Load, typename Store, typename Twiddle>
-void run_fine_stages(sim::BlockCtx& ctx, const std::vector<FineStage>& sts,
-                     std::size_t n, int sign, sim::SharedView<T>& sh,
-                     std::size_t sh_stride, std::size_t pad_words,
-                     std::size_t base, std::size_t count, cx<T>* vals,
-                     T* tmp, Load&& load, Store&& store, Twiddle&& twiddle) {
-  const std::size_t tpt = n / 4;
+void run_fine_stages(sim::BlockCtx& ctx, const FineIndex& ix, int sign,
+                     sim::SharedView<T>& sh, std::size_t base,
+                     std::size_t count, cx<T>* vals, T* tmp, Load&& load,
+                     Store&& store, Twiddle&& twiddle) {
+  const std::vector<FineStage>& sts = ix.stages();
   const std::size_t n_stages = sts.size();
 
-  // Butterfly of stage `st` for work unit u, reading from v[0..radix) and
-  // writing the twiddled outputs back into v.
+  // Butterfly of stage `st` over v[0..radix), twiddling the outputs with
+  // the slots' indices `tw` (tw[0] is the untwiddled value's).
   auto butterfly = [&](sim::ThreadCtx& t, const FineStage& st,
-                       std::size_t u, cx<T>* v) {
-    const std::size_t j = u / st.m;
+                       const std::uint32_t* tw, cx<T>* v) {
     if (st.radix == 4) {
       fft::fft4(v, sign);
       for (std::size_t r = 1; r < 4; ++r) {
-        v[r] = twiddle(t, j * st.m * r) * v[r];
+        v[r] = twiddle(t, tw[r]) * v[r];
       }
     } else {
       const cx<T> d = v[0] - v[1];
       v[0] = v[0] + v[1];
-      v[1] = twiddle(t, j * st.m) * d;
+      v[1] = twiddle(t, tw[1]) * d;
     }
   };
 
   // ---- stage 0: load through the caller (coalesced: lane-consecutive) ----
   {
     const FineStage& st = sts[0];
-    const std::size_t bpt = 4 / st.radix;
     ctx.threads([&](sim::ThreadCtx& t) {
-      const std::size_t sub = t.tid / tpt;
-      const std::size_t lane = t.tid % tpt;
-      const std::size_t tx = base + sub;
+      const std::size_t tx = base + ix.sub(t.tid);
       if (tx >= count) return;
-      for (std::size_t b = 0; b < bpt; ++b) {
-        const std::size_t u = lane + b * tpt;
-        const std::size_t j = u / st.m;
-        const std::size_t k = u % st.m;
-        cx<T> v[4];
+      const std::uint32_t* pos = ix.load(t.tid);
+      const std::uint32_t* tw = ix.twiddle(0, t.tid);
+      cx<T>* v = vals + t.tid * 4;
+      for (std::size_t s = 0; s < 4; s += st.radix) {
         for (std::size_t q = 0; q < st.radix; ++q) {
-          v[q] = load(t, tx, k + st.m * (j + st.l * q));
+          v[s + q] = load(t, tx, pos[s + q]);
         }
-        butterfly(t, st, u, v);
-        for (std::size_t r = 0; r < st.radix; ++r) {
-          vals[t.tid * 4 + b * st.radix + r] = v[r];
-        }
+        butterfly(t, st, tw + s, v + s);
       }
     });
   }
 
   // ---- inter-stage exchanges through shared memory ----
   for (std::size_t si = 1; si < n_stages; ++si) {
-    const FineStage& prev = sts[si - 1];
     const FineStage& st = sts[si];
-    const std::size_t bpt = 4 / st.radix;
-
-    // Positions this thread's current values occupy (previous stage's
-    // outputs) and the positions it needs next.
-    auto out_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / prev.radix;
-      const std::size_t r = slot % prev.radix;
-      const std::size_t u = lane + b * tpt;
-      const std::size_t j = u / prev.m;
-      const std::size_t k = u % prev.m;
-      return k + prev.m * (prev.radix * j + r);
-    };
-    auto in_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / st.radix;
-      const std::size_t q = slot % st.radix;
-      const std::size_t u = lane + b * tpt;
-      const std::size_t j = u / st.m;
-      const std::size_t k = u % st.m;
-      return k + st.m * (j + st.l * q);
-    };
-
     // Real parts: write all, then read all (paper's half-footprint
-    // exchange), then the same for imaginary parts.
+    // exchange), then the same for imaginary parts. The values sit at the
+    // previous stage's output positions and move to this stage's inputs.
     ctx.threads([&](sim::ThreadCtx& t) {
-      const std::size_t sub = t.tid / tpt;
-      const std::size_t lane = t.tid % tpt;
-      if (base + sub >= count) return;
-      const std::size_t shb = sub * sh_stride;
+      if (base + ix.sub(t.tid) >= count) return;
+      const std::uint32_t* out = ix.sh_out(si - 1, t.tid);
       for (std::size_t s = 0; s < 4; ++s) {
-        sh.store(t, shb + shmem_pad(out_pos(lane, s), pad_words),
-                 vals[t.tid * 4 + s].re);
+        sh.store(t, out[s], vals[t.tid * 4 + s].re);
       }
     });
     ctx.threads([&](sim::ThreadCtx& t) {
-      const std::size_t sub = t.tid / tpt;
-      const std::size_t lane = t.tid % tpt;
-      if (base + sub >= count) return;
-      const std::size_t shb = sub * sh_stride;
+      if (base + ix.sub(t.tid) >= count) return;
+      const std::uint32_t* in = ix.sh_in(si, t.tid);
       for (std::size_t s = 0; s < 4; ++s) {
-        tmp[t.tid * 4 + s] =
-            sh.load(t, shb + shmem_pad(in_pos(lane, s), pad_words));
+        tmp[t.tid * 4 + s] = sh.load(t, in[s]);
       }
     });
     ctx.threads([&](sim::ThreadCtx& t) {
-      const std::size_t sub = t.tid / tpt;
-      const std::size_t lane = t.tid % tpt;
-      if (base + sub >= count) return;
-      const std::size_t shb = sub * sh_stride;
+      if (base + ix.sub(t.tid) >= count) return;
+      const std::uint32_t* out = ix.sh_out(si - 1, t.tid);
       for (std::size_t s = 0; s < 4; ++s) {
-        sh.store(t, shb + shmem_pad(out_pos(lane, s), pad_words),
-                 vals[t.tid * 4 + s].im);
+        sh.store(t, out[s], vals[t.tid * 4 + s].im);
       }
     });
     ctx.threads([&](sim::ThreadCtx& t) {
-      const std::size_t sub = t.tid / tpt;
-      const std::size_t lane = t.tid % tpt;
-      if (base + sub >= count) return;
-      const std::size_t shb = sub * sh_stride;
+      if (base + ix.sub(t.tid) >= count) return;
       // Assemble the next stage's inputs and run its butterflies.
-      cx<T> next[4];
+      const std::uint32_t* in = ix.sh_in(si, t.tid);
+      const std::uint32_t* tw = ix.twiddle(si, t.tid);
+      cx<T>* v = vals + t.tid * 4;
       for (std::size_t s = 0; s < 4; ++s) {
-        next[s] = cx<T>{tmp[t.tid * 4 + s],
-                        sh.load(t, shb + shmem_pad(in_pos(lane, s),
-                                                   pad_words))};
+        v[s] = cx<T>{tmp[t.tid * 4 + s], sh.load(t, in[s])};
       }
-      for (std::size_t b = 0; b < bpt; ++b) {
-        const std::size_t u = lane + b * tpt;
-        butterfly(t, st, u, next + b * st.radix);
-      }
-      for (std::size_t s = 0; s < 4; ++s) {
-        vals[t.tid * 4 + s] = next[s];
+      for (std::size_t s = 0; s < 4; s += st.radix) {
+        butterfly(t, st, tw + s, v + s);
       }
     });
   }
 
   // ---- final store through the caller (coalesced) ----
-  {
-    const FineStage& st = sts.back();
-    ctx.threads([&](sim::ThreadCtx& t) {
-      const std::size_t sub = t.tid / tpt;
-      const std::size_t lane = t.tid % tpt;
-      const std::size_t tx = base + sub;
-      if (tx >= count) return;
-      const std::size_t bpt = 4 / st.radix;
-      for (std::size_t b = 0; b < bpt; ++b) {
-        const std::size_t u = lane + b * tpt;
-        const std::size_t j = u / st.m;
-        const std::size_t k = u % st.m;
-        for (std::size_t r = 0; r < st.radix; ++r) {
-          store(t, tx, k + st.m * (st.radix * j + r),
-                vals[t.tid * 4 + b * st.radix + r]);
-        }
-      }
-    });
-  }
+  ctx.threads([&](sim::ThreadCtx& t) {
+    const std::size_t tx = base + ix.sub(t.tid);
+    if (tx >= count) return;
+    const std::uint32_t* pos = ix.store(t.tid);
+    for (std::size_t s = 0; s < 4; ++s) {
+      store(t, tx, pos[s], vals[t.tid * 4 + s]);
+    }
+  });
 }
 
 }  // namespace repro::gpufft

@@ -42,8 +42,9 @@ double DramModel::ideal_time_ns(std::uint64_t bytes) const {
   return static_cast<double>(bytes) * ns_per_byte_channel_ / spec_.channels;
 }
 
-std::vector<double> DramModel::spread_penalties(
-    const std::vector<Transaction>& stream) const {
+void DramModel::spread_penalties(const std::vector<Transaction>& stream,
+                                 std::vector<double>& out,
+                                 std::vector<std::uint64_t>& window) const {
   // For each transaction, estimate the spatial density of its own access
   // cluster: the distance to the 8th-nearest address among the warp's
   // neighbouring transactions (a +-16 window). Using nearest-neighbour
@@ -52,30 +53,52 @@ std::vector<double> DramModel::spread_penalties(
   // other's locality estimate. Transactions whose cluster spans more than
   // spread_threshold_bytes pay extra channel time, saturating after
   // 2^spread_log_range times the threshold.
-  std::vector<double> out(stream.size(), 0.0);
+  out.assign(stream.size(), 0.0);
   if (stream.empty() || spec_.spread_penalty_ns <= 0.0) {
-    return out;
+    return;
   }
   constexpr std::size_t kHalfWindow = 16;
   constexpr std::size_t kNeighbour = 8;
-  std::vector<std::uint64_t> dist;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const std::size_t lo = i >= kHalfWindow ? i - kHalfWindow : 0;
-    const std::size_t hi = std::min(stream.size(), i + kHalfWindow + 1);
-    dist.clear();
-    for (std::size_t j = lo; j < hi; ++j) {
-      if (j == i) continue;
-      const std::uint64_t a = stream[i].addr;
-      const std::uint64_t b = stream[j].addr;
-      dist.push_back(a > b ? a - b : b - a);
+  const std::size_t n = stream.size();
+  const double threshold = static_cast<double>(spec_.spread_threshold_bytes);
+  auto lo_of = [](std::size_t i) {
+    return i >= kHalfWindow ? i - kHalfWindow : 0;
+  };
+  auto hi_of = [n](std::size_t i) { return std::min(n, i + kHalfWindow + 1); };
+
+  // The window's addresses stay sorted as it slides (one insert and one
+  // erase per transaction). The nearest neighbours of address a are the
+  // entries next to one copy of a, so walking outward from it visits the
+  // other entries' distances in ascending order.
+  window.clear();
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (; hi < hi_of(i); ++hi) {
+      const std::uint64_t a = stream[hi].addr;
+      window.insert(std::upper_bound(window.begin(), window.end(), a), a);
     }
-    if (dist.size() < kNeighbour) continue;
-    std::nth_element(dist.begin(), dist.begin() + (kNeighbour - 1),
-                     dist.end());
-    const double cluster_spread =
-        4.0 * static_cast<double>(dist[kNeighbour - 1]);
-    const double threshold =
-        static_cast<double>(spec_.spread_threshold_bytes);
+    for (; lo < lo_of(i); ++lo) {
+      window.erase(
+          std::lower_bound(window.begin(), window.end(), stream[lo].addr));
+    }
+    if (window.size() - 1 < kNeighbour) continue;
+    const std::uint64_t a = stream[i].addr;
+    const auto self = std::lower_bound(window.begin(), window.end(), a);
+    auto left = self;       // entries before `left` are unvisited
+    auto right = self + 1;  // entries from `right` on are unvisited
+    std::uint64_t nth = 0;
+    for (std::size_t taken = 0; taken < kNeighbour; ++taken) {
+      const bool go_left =
+          left != window.begin() &&
+          (right == window.end() || a - *(left - 1) <= *right - a);
+      if (go_left) {
+        nth = a - *--left;
+      } else {
+        nth = *right++ - a;
+      }
+    }
+    const double cluster_spread = 4.0 * static_cast<double>(nth);
     if (cluster_spread > threshold) {
       const double f = std::min(
           1.0, std::log2(cluster_spread / threshold) / spec_.spread_log_range);
@@ -87,20 +110,19 @@ std::vector<double> DramModel::spread_penalties(
   // (the controller fills the activate latency with the tight stream's
   // bursts): scale each penalty by the fraction of penalized neighbours,
   // so a mixed D-read/A-write kernel pays roughly half of a pure-D one —
-  // matching Table 4's "one good side rescues the slot" behaviour.
-  std::vector<double> scaled(out.size(), 0.0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  // matching Table 4's "one good side rescues the slot" behaviour. The
+  // factor is at least 1/33, so scaling in place keeps every penalty
+  // positive and the running count of penalized entries exact.
+  std::size_t penalized = 0;
+  lo = 0;
+  hi = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (; hi < hi_of(i); ++hi) penalized += out[hi] > 0.0 ? 1 : 0;
+    for (; lo < lo_of(i); ++lo) penalized -= out[lo] > 0.0 ? 1 : 0;
     if (out[i] <= 0.0) continue;
-    const std::size_t lo = i >= kHalfWindow ? i - kHalfWindow : 0;
-    const std::size_t hi = std::min(out.size(), i + kHalfWindow + 1);
-    std::size_t penalized = 0;
-    for (std::size_t j = lo; j < hi; ++j) {
-      if (out[j] > 0.0) ++penalized;
-    }
-    scaled[i] = out[i] * static_cast<double>(penalized) /
-                static_cast<double>(hi - lo);
+    out[i] = out[i] * static_cast<double>(penalized) /
+             static_cast<double>(hi - lo);
   }
-  return scaled;
 }
 
 double DramModel::replay(std::span<const std::vector<Transaction>> streams) {
@@ -116,8 +138,9 @@ double DramModel::replay(std::span<const std::vector<Transaction>> streams) {
   // 16 per-thread streams stay within tens of kilobytes behave like the
   // single-stream copy, while megabyte-spread patterns lose ~40%.
   std::vector<std::vector<double>> penalty(streams.size());
+  std::vector<std::uint64_t> window;
   for (std::size_t s = 0; s < streams.size(); ++s) {
-    penalty[s] = spread_penalties(streams[s]);
+    spread_penalties(streams[s], penalty[s], window);
   }
 
   // Round-robin across warp streams: the controller services one pending
@@ -125,7 +148,6 @@ double DramModel::replay(std::span<const std::vector<Transaction>> streams) {
   // end up reusing each other's open rows.
   std::vector<std::size_t> pos(streams.size(), 0);
   bool any = true;
-  double total_bytes = 0.0;
   while (any) {
     any = false;
     for (std::size_t s = 0; s < streams.size(); ++s) {
@@ -167,7 +189,6 @@ double DramModel::replay(std::span<const std::vector<Transaction>> streams) {
       chan_free[loc.channel] = end;
       bank.ready_ns = end;
       bank.open_row = loc.row;
-      total_bytes += t.bytes;
     }
   }
   double elapsed = 0.0;

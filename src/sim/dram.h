@@ -71,10 +71,13 @@ class DramModel {
   };
   [[nodiscard]] Loc locate(std::uint64_t addr) const;
 
-  /// Extra channel nanoseconds per transaction from the warp's access
-  /// spread (see DramSpec::spread_threshold_bytes).
-  [[nodiscard]] std::vector<double> spread_penalties(
-      const std::vector<Transaction>& stream) const;
+  /// Extra channel nanoseconds per transaction of `stream` from the
+  /// warp's access spread (see DramSpec::spread_threshold_bytes), written
+  /// to the caller's `out` (one entry per transaction). `window` is
+  /// caller-owned scratch reused across streams.
+  void spread_penalties(const std::vector<Transaction>& stream,
+                        std::vector<double>& out,
+                        std::vector<std::uint64_t>& window) const;
 
   DramSpec spec_;
   double ns_per_byte_channel_;  // bus time per byte on one channel

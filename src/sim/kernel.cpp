@@ -56,9 +56,10 @@ void BlockCtx::record_texture_impl(unsigned tid, std::uint64_t addr,
 }
 
 void BlockCtx::end_phase() {
-  if (!recording_) {
+  if (!logged_) {
     return;
   }
+  logged_ = false;
   const unsigned nthreads = cfg_.threads_per_block;
   const unsigned n_halfwarps = (nthreads + 15) / 16;
 
@@ -123,6 +124,7 @@ void BlockCtx::end_phase() {
   }
 
   // --- constant memory: distinct addresses serialize within a slot ---
+  std::vector<std::uint64_t> addrs;
   for (unsigned hw = 0; hw < n_halfwarps; ++hw) {
     const unsigned t0 = hw * 16;
     const unsigned t1 = std::min(t0 + 16, nthreads);
@@ -130,7 +132,6 @@ void BlockCtx::end_phase() {
     for (unsigned t = t0; t < t1; ++t) {
       max_slots = std::max(max_slots, clog_[t].size());
     }
-    std::vector<std::uint64_t> addrs;
     for (std::size_t s = 0; s < max_slots; ++s) {
       addrs.clear();
       for (unsigned t = t0; t < t1; ++t) {

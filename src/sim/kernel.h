@@ -295,6 +295,7 @@ class BlockCtx {
     if (gcount_[tid] < opt_.sample_accesses_per_thread) {
       ++gcount_[tid];
       glog_[tid].push_back(GlobalAccess{addr, bytes});
+      logged_ = true;
     }
   }
   inline void record_shared(unsigned tid, std::uint64_t word,
@@ -302,12 +303,14 @@ class BlockCtx {
     if (scount_[tid] < opt_.sample_accesses_per_thread) {
       ++scount_[tid];
       slog_[tid].push_back(ShAccess{word, words});
+      logged_ = true;
     }
   }
   inline void record_const(unsigned tid, std::uint64_t addr) {
     if (ccount_[tid] < opt_.sample_accesses_per_thread) {
       ++ccount_[tid];
       clog_[tid].push_back(addr);
+      logged_ = true;
     }
   }
   /// Texture fetch through the per-SM cache model; appends a miss
@@ -342,6 +345,10 @@ class BlockCtx {
   std::vector<std::uint32_t> scount_;
   std::vector<std::uint32_t> ccount_;
   std::vector<std::uint32_t> tcount_;
+  /// Whether the current phase logged any global, shared or constant
+  /// access. Once every thread's budget is spent, phases log nothing and
+  /// end_phase() has no slots to cost.
+  bool logged_ = false;
 
   void record_texture_impl(unsigned tid, std::uint64_t addr,
                            std::uint32_t bytes);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "fft/plan.h"
@@ -139,6 +141,237 @@ TEST(FineKernel, RejectsBadGeometry) {
   p.count = 1;
   p.twiddles = TwiddleSource::Registers;
   EXPECT_THROW(FineFftKernel(data, data, p), Error);
+}
+
+/// FNV-1a over the raw bytes of a result (bit-exact output fingerprint).
+std::uint64_t fnv_bits(std::span<const cxf> v) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::byte b : std::as_bytes(v)) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr const char* kTwName[] = {"Registers", "Constant", "Texture",
+                                   "Recompute"};
+
+struct FinePin {
+  std::size_t n;
+  TwiddleSource tw;
+  unsigned pad;
+  double total_ms;
+  double mem_ms;
+  double compute_ms;
+  std::uint64_t dram_bytes;
+  std::uint64_t bits;
+};
+
+// Exact results recorded while the stage engine still derived every index
+// per access, so a change of access order, shared offset or twiddle index
+// shows here. 40 waves plus three transforms per launch: blocks run past
+// the sampling budget and the last wave leaves transform groups idle.
+constexpr FinePin kFinePins[] = {
+    {16, TwiddleSource::Registers, 0,
+     0.29179628282820202, 0.28179628282820207, 0.042181532921810698,
+     5245952u, 0x58f35a9423e5da63ull},
+    {16, TwiddleSource::Registers, 16,
+     0.29179628282820202, 0.28179628282820207, 0.042181532921810698,
+     5245952u, 0x9bba0ff60558e4d2ull},
+    {16, TwiddleSource::Constant, 0,
+     0.29179628282820202, 0.28179628282820207, 0.046134465020576124,
+     5245952u, 0x58f35a9423e5da63ull},
+    {16, TwiddleSource::Constant, 16,
+     0.29179628282820202, 0.28179628282820207, 0.046134465020576124,
+     5245952u, 0x9bba0ff60558e4d2ull},
+    {16, TwiddleSource::Texture, 0,
+     0.29055448802030248, 0.28055448802030247, 0.042181532921810698,
+     5246720u, 0x58f35a9423e5da63ull},
+    {16, TwiddleSource::Texture, 16,
+     0.29055448802030248, 0.28055448802030247, 0.042181532921810698,
+     5246720u, 0x9bba0ff60558e4d2ull},
+    {16, TwiddleSource::Recompute, 0,
+     0.29179628282820202, 0.28179628282820207, 0.080129681069958839,
+     5245952u, 0x58f35a9423e5da63ull},
+    {16, TwiddleSource::Recompute, 16,
+     0.29179628282820202, 0.28179628282820207, 0.080129681069958839,
+     5245952u, 0x9bba0ff60558e4d2ull},
+    {32, TwiddleSource::Registers, 0,
+     0.29228113131305117, 0.28228113131305116, 0.060529012345679006,
+     5248512u, 0x4eb7ca32f0814f25ull},
+    {32, TwiddleSource::Registers, 16,
+     0.29228113131305117, 0.28228113131305116, 0.056310905349794237,
+     5248512u, 0x32f7f6ba3ea8fca3ull},
+    {32, TwiddleSource::Constant, 0,
+     0.29228113131305117, 0.28228113131305116, 0.068966872427983522,
+     5248512u, 0x4eb7ca32f0814f25ull},
+    {32, TwiddleSource::Constant, 16,
+     0.29228113131305117, 0.28228113131305116, 0.064748765432098759,
+     5248512u, 0x32f7f6ba3ea8fca3ull},
+    {32, TwiddleSource::Texture, 0,
+     0.28925868843088276, 0.27925868843088275, 0.060529012345679006,
+     5250048u, 0x4eb7ca32f0814f25ull},
+    {32, TwiddleSource::Texture, 16,
+     0.28925868843088276, 0.27925868843088275, 0.056310905349794237,
+     5250048u, 0x32f7f6ba3ea8fca3ull},
+    {32, TwiddleSource::Recompute, 0,
+     0.29228113131305117, 0.28228113131305116, 0.11115617283950616,
+     5248512u, 0x4eb7ca32f0814f25ull},
+    {32, TwiddleSource::Recompute, 16,
+     0.29228113131305117, 0.28228113131305116, 0.10693806584362138,
+     5248512u, 0x32f7f6ba3ea8fca3ull},
+    {64, TwiddleSource::Registers, 0,
+     0.079604525252526537, 0.069604525252526542, 0.059131995884773657,
+     1313792u, 0x6ace01722d1bd8abull},
+    {64, TwiddleSource::Registers, 16,
+     0.079604525252526537, 0.069604525252526542, 0.052796193415637856,
+     1313792u, 0x42480f0844e586d4ull},
+    {64, TwiddleSource::Constant, 0,
+     0.085763477366255142, 0.069604525252526542, 0.075763477366255147,
+     1313792u, 0x6ace01722d1bd8abull},
+    {64, TwiddleSource::Constant, 16,
+     0.079604525252526537, 0.069604525252526542, 0.069427674897119332,
+     1313792u, 0x42480f0844e586d4ull},
+    {64, TwiddleSource::Texture, 0,
+     0.080267393939395262, 0.070267393939395253, 0.059131995884773657,
+     1316864u, 0x6ace01722d1bd8abull},
+    {64, TwiddleSource::Texture, 16,
+     0.080267393939395262, 0.070267393939395253, 0.052796193415637856,
+     1316864u, 0x42480f0844e586d4ull},
+    {64, TwiddleSource::Recompute, 0,
+     0.12615421810699587, 0.069604525252526542, 0.11615421810699587,
+     1313792u, 0x6ace01722d1bd8abull},
+    {64, TwiddleSource::Recompute, 16,
+     0.11981841563786007, 0.069604525252526542, 0.10981841563786007,
+     1313792u, 0x42480f0844e586d4ull},
+    {128, TwiddleSource::Registers, 0,
+     0.079742949494950796, 0.069742949494950787, 0.068195267489711928,
+     1316864u, 0xcfc15c7060dd5a59ull},
+    {128, TwiddleSource::Registers, 16,
+     0.079742949494950796, 0.069742949494950787, 0.063138477366255136,
+     1316864u, 0x620b72c70dab2355ull},
+    {128, TwiddleSource::Constant, 0,
+     0.095394855967078182, 0.069742949494950787, 0.085394855967078173,
+     1316864u, 0xcfc15c7060dd5a59ull},
+    {128, TwiddleSource::Constant, 16,
+     0.09033806584362139, 0.069742949494950787, 0.080338065843621395,
+     1316864u, 0x620b72c70dab2355ull},
+    {128, TwiddleSource::Texture, 0,
+     0.08030298989899122, 0.070302989898991211, 0.068195267489711928,
+     1323008u, 0xcfc15c7060dd5a59ull},
+    {128, TwiddleSource::Texture, 16,
+     0.08030298989899122, 0.070302989898991211, 0.063138477366255136,
+     1323008u, 0x620b72c70dab2355ull},
+    {128, TwiddleSource::Recompute, 0,
+     0.14805205761316872, 0.069742949494950787, 0.13805205761316872,
+     1316864u, 0xcfc15c7060dd5a59ull},
+    {128, TwiddleSource::Recompute, 16,
+     0.14299526748971192, 0.069742949494950787, 0.13299526748971191,
+     1316864u, 0x620b72c70dab2355ull},
+    {256, TwiddleSource::Registers, 0,
+     0.081099588477366258, 0.069896565656566961, 0.071099588477366249,
+     1323008u, 0x1473d5dd66fd5667ull},
+    {256, TwiddleSource::Registers, 16,
+     0.079896565656566956, 0.069896565656566961, 0.066042798353909457,
+     1323008u, 0xa7fbdbaac184f912ull},
+    {256, TwiddleSource::Constant, 0,
+     0.098645267489711919, 0.069896565656566961, 0.088645267489711924,
+     1323008u, 0x1473d5dd66fd5667ull},
+    {256, TwiddleSource::Constant, 16,
+     0.093588477366255141, 0.069896565656566961, 0.083588477366255146,
+     1323008u, 0xa7fbdbaac184f912ull},
+    {256, TwiddleSource::Texture, 0,
+     0.08119349494949632, 0.071193494949496325, 0.071099588477366249,
+     1335296u, 0x1473d5dd66fd5667ull},
+    {256, TwiddleSource::Texture, 16,
+     0.08119349494949632, 0.071193494949496325, 0.066042798353909457,
+     1335296u, 0xa7fbdbaac184f912ull},
+    {256, TwiddleSource::Recompute, 0,
+     0.1576625514403292, 0.069896565656566961, 0.14766255144032919,
+     1323008u, 0x1473d5dd66fd5667ull},
+    {256, TwiddleSource::Recompute, 16,
+     0.1526057613168724, 0.069896565656566961, 0.14260576131687239,
+     1323008u, 0xa7fbdbaac184f912ull},
+    {512, TwiddleSource::Registers, 0,
+     0.16699588477366253, 0.069884565656568087, 0.15699588477366255,
+     2646016u, 0xab7949f9508e09aaull},
+    {512, TwiddleSource::Registers, 16,
+     0.15941069958847734, 0.069884565656568087, 0.14941069958847733,
+     2646016u, 0xb262246e0df475d9ull},
+    {512, TwiddleSource::Constant, 0,
+     0.20315061728395062, 0.069884565656568087, 0.19315061728395061,
+     2646016u, 0xab7949f9508e09aaull},
+    {512, TwiddleSource::Constant, 16,
+     0.19556543209876542, 0.069884565656568087, 0.18556543209876541,
+     2646016u, 0xb262246e0df475d9ull},
+    {512, TwiddleSource::Texture, 0,
+     0.16699588477366253, 0.070533030303032762, 0.15699588477366255,
+     2670592u, 0xab7949f9508e09aaull},
+    {512, TwiddleSource::Texture, 16,
+     0.15941069958847734, 0.070533030303032762, 0.14941069958847733,
+     2670592u, 0xb262246e0df475d9ull},
+    {512, TwiddleSource::Recompute, 0,
+     0.34564279835390943, 0.069884565656568087, 0.33564279835390942,
+     2646016u, 0xab7949f9508e09aaull},
+    {512, TwiddleSource::Recompute, 16,
+     0.33805761316872424, 0.069884565656568087, 0.32805761316872423,
+     2646016u, 0xb262246e0df475d9ull},
+};
+
+TEST(FineKernel, LaunchResultsPinned) {
+  std::size_t checked = 0;
+  for (const std::size_t n : {16, 32, 64, 128, 256, 512}) {
+    for (const TwiddleSource tw :
+         {TwiddleSource::Registers, TwiddleSource::Constant,
+          TwiddleSource::Texture, TwiddleSource::Recompute}) {
+      for (const unsigned pad : {0u, 16u}) {
+        FineKernelParams p;
+        p.n = n;
+        p.dir = Direction::Forward;
+        p.twiddles = tw;
+        p.grid_blocks = 8;
+        p.threads_per_block =
+            static_cast<unsigned>(std::max<std::size_t>(n / 4, 64));
+        p.shmem_pad_words = pad;
+        p.count = 40 * p.grid_blocks * (p.threads_per_block / (n / 4)) + 3;
+
+        Device dev(sim::geforce_8800_gtx());
+        auto data = dev.alloc<cxf>(n * p.count);
+        auto twd = dev.alloc<cxf>(n);
+        const auto roots = make_roots<float>(n, p.dir);
+        dev.h2d(twd, std::span<const cxf>(roots));
+        const auto input = random_complex<float>(n * p.count, n + pad);
+        dev.h2d(data, std::span<const cxf>(input));
+        FineFftKernel k(data, data, p, &twd);
+        const sim::LaunchResult r = dev.launch(k);
+        std::vector<cxf> out(n * p.count);
+        dev.d2h(std::span<cxf>(out), data);
+        const std::uint64_t bits = fnv_bits(out);
+
+        const FinePin* pin = nullptr;
+        for (const FinePin& f : kFinePins) {
+          if (f.n == n && f.tw == tw && f.pad == pad) pin = &f;
+        }
+        std::ostringstream row;
+        row.precision(17);
+        row << "{" << n << ", TwiddleSource::" << kTwName[static_cast<int>(tw)]
+            << ", " << pad << ", " << r.total_ms << ", " << r.mem_ms << ", "
+            << r.compute_ms << ", " << r.dram_bytes << "u, 0x" << std::hex
+            << bits << "ull},";
+        if (pin == nullptr) {
+          ADD_FAILURE() << "no pin for " << row.str();
+          continue;
+        }
+        EXPECT_EQ(r.total_ms, pin->total_ms) << row.str();
+        EXPECT_EQ(r.mem_ms, pin->mem_ms) << row.str();
+        EXPECT_EQ(r.compute_ms, pin->compute_ms) << row.str();
+        EXPECT_EQ(r.dram_bytes, pin->dram_bytes) << row.str();
+        EXPECT_EQ(bits, pin->bits) << row.str();
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kFinePins));
 }
 
 TEST(FineKernel, ShmemFootprintMatchesPaperScale) {

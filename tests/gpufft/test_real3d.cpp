@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "fft/real.h"
 #include "gpufft/plan.h"
+#include "gpufft/real_kernels.h"
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
 #include "sim/device_group.h"
@@ -241,6 +243,152 @@ TEST(Real3D, RejectsUnsupportedXExtents) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("power of two"), std::string::npos);
   }
+}
+
+/// FNV-1a over the raw bytes of a buffer (bit-exact output fingerprint).
+std::uint64_t fnv_bits(std::span<const cxf> v) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::byte b : std::as_bytes(v)) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr const char* kTwName[] = {"Registers", "Constant", "Texture",
+                                   "Recompute"};
+
+struct RealFinePin {
+  Direction dir;
+  TwiddleSource tw;
+  unsigned pad;
+  double total_ms;
+  double mem_ms;
+  double compute_ms;
+  std::uint64_t dram_bytes;
+  std::uint64_t bits;
+};
+
+// The fused r2c/c2r X kernels at 64^3: exact results recorded while the
+// stage engine still derived every index per access.
+constexpr RealFinePin kRealFinePins[] = {
+    {Direction::Forward, TwiddleSource::Registers, 0,
+     0.1228430256849192, 0.1128430256849192, 0.069227983539094637,
+     8519680u, 0xcbac3114a0b1794cull},
+    {Direction::Forward, TwiddleSource::Registers, 16,
+     0.1228430256849192, 0.1128430256849192, 0.067963786008230456,
+     8519680u, 0x759f31a88a42ac46ull},
+    {Direction::Forward, TwiddleSource::Constant, 0,
+     0.1228430256849192, 0.1128430256849192, 0.082712757201646087,
+     8519680u, 0xcbac3114a0b1794cull},
+    {Direction::Forward, TwiddleSource::Constant, 16,
+     0.1228430256849192, 0.1128430256849192, 0.081448559670781892,
+     8519680u, 0x759f31a88a42ac46ull},
+    {Direction::Forward, TwiddleSource::Texture, 0,
+     0.12544142810396416, 0.11544142810396417, 0.069227983539094637,
+     8541184u, 0xcbac3114a0b1794cull},
+    {Direction::Forward, TwiddleSource::Texture, 16,
+     0.12544142810396416, 0.11544142810396417, 0.067963786008230456,
+     8541184u, 0x759f31a88a42ac46ull},
+    {Direction::Forward, TwiddleSource::Recompute, 0,
+     0.13990946502057613, 0.1128430256849192, 0.12990946502057613,
+     8519680u, 0xcbac3114a0b1794cull},
+    {Direction::Forward, TwiddleSource::Recompute, 16,
+     0.13864526748971193, 0.1128430256849192, 0.12864526748971192,
+     8519680u, 0x759f31a88a42ac46ull},
+    {Direction::Inverse, TwiddleSource::Registers, 0,
+     0.12473362280721879, 0.11473362280721879, 0.071427160493827163,
+     8650752u, 0x5fa5e1fe6095bb91ull},
+    {Direction::Inverse, TwiddleSource::Registers, 16,
+     0.12473362280721879, 0.11473362280721879, 0.069741563786008223,
+     8650752u, 0x419af69395fa6056ull},
+    {Direction::Inverse, TwiddleSource::Constant, 0,
+     0.12473362280721879, 0.11473362280721879, 0.084911934156378599,
+     8650752u, 0x5fa5e1fe6095bb91ull},
+    {Direction::Inverse, TwiddleSource::Constant, 16,
+     0.12473362280721879, 0.11473362280721879, 0.083226337448559673,
+     8650752u, 0x419af69395fa6056ull},
+    {Direction::Inverse, TwiddleSource::Texture, 0,
+     0.12747509499541729, 0.11747509499541729, 0.071427160493827163,
+     8672256u, 0x5fa5e1fe6095bb91ull},
+    {Direction::Inverse, TwiddleSource::Texture, 16,
+     0.12747509499541729, 0.11747509499541729, 0.069741563786008223,
+     8672256u, 0x419af69395fa6056ull},
+    {Direction::Inverse, TwiddleSource::Recompute, 0,
+     0.14210864197530862, 0.11473362280721879, 0.13210864197530861,
+     8650752u, 0x5fa5e1fe6095bb91ull},
+    {Direction::Inverse, TwiddleSource::Recompute, 16,
+     0.14042304526748969, 0.11473362280721879, 0.13042304526748971,
+     8650752u, 0x419af69395fa6056ull},
+};
+
+TEST(RealFine, LaunchResultsPinned) {
+  const Shape3 shape = cube(64);
+  const std::size_t count = shape.ny * shape.nz;
+  std::size_t checked = 0;
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    for (const TwiddleSource tw :
+         {TwiddleSource::Registers, TwiddleSource::Constant,
+          TwiddleSource::Texture, TwiddleSource::Recompute}) {
+      for (const unsigned pad : {0u, 16u}) {
+        Device dev(sim::geforce_8800_gtx());
+        RealFineParams p;
+        p.nx = shape.nx;
+        p.count = count;
+        p.twiddles = tw;
+        p.grid_blocks = default_grid_blocks(dev.spec());
+        p.shmem_pad_words = pad;
+        p.scale = dir == Direction::Inverse
+                      ? 1.0 / static_cast<double>(shape.volume() / 2)
+                      : 1.0;
+        const std::size_t elems = (shape.nx / 2 + 1) * count;
+        auto data = dev.alloc<cxf>(elems);
+        auto tw_half = dev.alloc<cxf>(shape.nx / 2);
+        auto tw_full = dev.alloc<cxf>(shape.nx);
+        const auto roots_half = make_roots<float>(shape.nx / 2, dir);
+        const auto roots_full = make_roots<float>(shape.nx, dir);
+        dev.h2d(tw_half, std::span<const cxf>(roots_half));
+        dev.h2d(tw_full, std::span<const cxf>(roots_full));
+        const auto input = random_complex<float>(elems, 64 + pad);
+        dev.h2d(data, std::span<const cxf>(input));
+        sim::LaunchResult r;
+        if (dir == Direction::Forward) {
+          RealFineR2CKernel k(data, p, &tw_half, &tw_full);
+          r = dev.launch(k);
+        } else {
+          RealFineC2RKernel k(data, p, &tw_half, &tw_full);
+          r = dev.launch(k);
+        }
+        std::vector<cxf> out(elems);
+        dev.d2h(std::span<cxf>(out), data);
+        const std::uint64_t bits = fnv_bits(out);
+
+        const RealFinePin* pin = nullptr;
+        for (const RealFinePin& f : kRealFinePins) {
+          if (f.dir == dir && f.tw == tw && f.pad == pad) pin = &f;
+        }
+        std::ostringstream row;
+        row.precision(17);
+        row << "{Direction::"
+            << (dir == Direction::Forward ? "Forward" : "Inverse")
+            << ", TwiddleSource::" << kTwName[static_cast<int>(tw)] << ", "
+            << pad << ", " << r.total_ms << ", " << r.mem_ms << ", "
+            << r.compute_ms << ", " << r.dram_bytes << "u, 0x" << std::hex
+            << bits << "ull},";
+        if (pin == nullptr) {
+          ADD_FAILURE() << "no pin for " << row.str();
+          continue;
+        }
+        EXPECT_EQ(r.total_ms, pin->total_ms) << row.str();
+        EXPECT_EQ(r.mem_ms, pin->mem_ms) << row.str();
+        EXPECT_EQ(r.compute_ms, pin->compute_ms) << row.str();
+        EXPECT_EQ(r.dram_bytes, pin->dram_bytes) << row.str();
+        EXPECT_EQ(bits, pin->bits) << row.str();
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kRealFinePins));
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+
+#include "common/rng.h"
 #include "sim/spec.h"
 
 namespace repro::sim {
@@ -120,6 +123,61 @@ TEST_F(DramTest, DeterministicReplay) {
   const double a = dram_.replay_one(s);
   const double b = dram_.replay_one(s);
   EXPECT_EQ(a, b);
+}
+
+// Exact replay times of seeded streams, recorded with the per-transaction
+// nth_element neighbour search. The streams cover scattered, clustered,
+// mixed and duplicate-address (distance-0 tie) traffic, plus lengths at
+// the +-16 window's edges and below the 8-neighbour minimum.
+TEST_F(DramTest, SpreadPenaltiesPinnedOnSeededStreams) {
+  SplitMix64 rng(20081115);
+  auto line = [](std::uint64_t a) { return a & ~std::uint64_t{63}; };
+  auto scattered = [&](std::size_t n) {
+    std::vector<Transaction> v;
+    for (std::size_t i = 0; i < n; ++i) {
+      v.push_back({line(rng.below(1ull << 30)), 64});
+    }
+    return v;
+  };
+  std::vector<std::vector<Transaction>> streams;
+  streams.push_back(scattered(300));
+  {
+    std::vector<Transaction> v;  // four 64 KB clusters, 32 MB apart
+    for (std::size_t i = 0; i < 300; ++i) {
+      v.push_back({(rng.below(4) << 25) + line(rng.below(1 << 16)), 64});
+    }
+    streams.push_back(v);
+  }
+  {
+    std::vector<Transaction> v;  // sequential reads between scattered writes
+    for (std::size_t i = 0; i < 300; ++i) {
+      v.push_back(i % 2 == 0 ? Transaction{(1ull << 31) + i * 32, 64}
+                             : Transaction{line(rng.below(1ull << 30)), 32});
+    }
+    streams.push_back(v);
+  }
+  {
+    std::vector<Transaction> v;  // six addresses 4 MB apart
+    for (std::size_t i = 0; i < 200; ++i) {
+      v.push_back({rng.below(6) << 22, 64});
+    }
+    streams.push_back(v);
+  }
+  for (const std::size_t n : {1, 8, 9, 33}) streams.push_back(scattered(n));
+
+  constexpr double kPinned[] = {
+      786.82828282828291, 445.69946749158549, 361.25766436292741,
+      761.96187811382049, 6.0505050505050502, 20.050505050505052,
+      56.202020202020208, 126.45454545454547};
+  ASSERT_EQ(streams.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const double ns = dram_.replay_one(streams[i]);
+    EXPECT_EQ(ns, kPinned[i])
+        << "stream " << i << ": " << std::setprecision(17) << ns;
+  }
+  const double all = dram_.replay(streams);
+  EXPECT_EQ(all, 2281.4134078972447)
+      << "interleaved: " << std::setprecision(17) << all;
 }
 
 TEST(DramChannels, WiderBusIsFaster) {
